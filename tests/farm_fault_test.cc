@@ -687,6 +687,212 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
     }
 }
 
+// ------------------------------------------------- faulty-farm pins
+
+// Under churn the farm routes around crashed and recovering servers.
+// These pins hash whole faulty runs — every routing choice, per-server
+// energy and job counts, the decision streams and the availability
+// counters — so any change to failover routing shows up as a changed
+// hash. Like the no-fault pins above they are behaviour, not tuning:
+// a change here is a regression unless the routing semantics were
+// changed on purpose.
+
+/** Hash of every routing choice made through RecordingDispatcher. */
+std::uint64_t recordedRoutes = 0;
+
+/** Forwards to a built-in dispatcher and hashes each choice together
+ * with the number of servers it chose among. */
+class RecordingDispatcher final : public Dispatcher
+{
+  public:
+    explicit RecordingDispatcher(std::unique_ptr<Dispatcher> inner)
+        : _inner(std::move(inner))
+    {
+    }
+
+    std::size_t
+    route(const Job &job, const std::vector<ServerSnapshot> &servers) override
+    {
+        return record(servers.size(), _inner->route(job, servers));
+    }
+
+    std::size_t route(const Job &job, const FarmView &farm) override
+    {
+        return record(farm.count(), _inner->route(job, farm));
+    }
+
+    std::string name() const override { return _inner->name(); }
+
+  private:
+    static std::size_t record(std::size_t count, std::size_t choice)
+    {
+        fnvMix(recordedRoutes, count);
+        fnvMix(recordedRoutes, choice);
+        return choice;
+    }
+
+    std::unique_ptr<Dispatcher> _inner;
+};
+
+/** Registry name of the recording wrapper around a built-in. */
+std::string
+recordingDispatcher(const std::string &inner)
+{
+    const std::string name = "recording:" + inner;
+    if (!dispatcherRegistry().contains(name)) {
+        dispatcherRegistry().add(
+            name, [inner](const DispatcherContext &ctx) {
+                return std::make_unique<RecordingDispatcher>(
+                    makeDispatcher(inner, ctx.seed, ctx.spillBacklog));
+            });
+    }
+    return name;
+}
+
+void
+hashFaultStats(std::uint64_t &hash, const FarmFaultStats &stats)
+{
+    fnvMix(hash, stats.offered);
+    fnvMix(hash, stats.admitted);
+    fnvMix(hash, stats.completed);
+    fnvMix(hash, stats.dropped);
+    fnvMix(hash, stats.retries);
+    fnvMix(hash, stats.inFlight);
+    fnvMix(hash, doubleBits(stats.downSeconds));
+    fnvMix(hash, doubleBits(stats.degradedSeconds));
+    fnvMix(hash, stats.degradedEpochs);
+    fnvMix(hash, doubleBits(stats.elapsedSeconds));
+}
+
+TEST(FaultyFarmPin, RuntimeRoutingDecisionsAndCountersBitForBit)
+{
+    const struct
+    {
+        const char *faults;
+        const char *dispatcher;
+        const char *control;
+        std::uint64_t hash;
+    } pins[] = {
+        {"mtbf", "random", "farm-wide", 8555092131847116493ull},
+        {"mtbf", "random", "per-server", 5871925370731901437ull},
+        {"mtbf", "round-robin", "farm-wide", 5050754618742014413ull},
+        {"mtbf", "round-robin", "per-server", 9342342005562181023ull},
+        {"mtbf", "JSQ", "farm-wide", 11423001267171466894ull},
+        {"mtbf", "JSQ", "per-server", 18120386323070352548ull},
+        {"mtbf", "packing", "farm-wide", 16974298949255359416ull},
+        {"mtbf", "packing", "per-server", 10657770710993521812ull},
+        {"correlated", "random", "farm-wide", 16424182184814574428ull},
+        {"correlated", "random", "per-server", 8819007278570613166ull},
+        {"correlated", "round-robin", "farm-wide", 487961192493874709ull},
+        {"correlated", "round-robin", "per-server", 11874565757521802134ull},
+        {"correlated", "JSQ", "farm-wide", 16676643857289107956ull},
+        {"correlated", "JSQ", "per-server", 10067399334739515264ull},
+        {"correlated", "packing", "farm-wide", 12501583641755423964ull},
+        {"correlated", "packing", "per-server", 9324247023980601988ull},
+    };
+
+    const UtilizationTrace trace("flat", std::vector<double>(60, 0.4));
+    for (const auto &pin : pins) {
+        FarmRuntimeConfig config = faultRuntimeConfig(4, pin.control);
+        config.dispatcher = recordingDispatcher(pin.dispatcher);
+        config.faults = pin.faults;
+        config.mtbf = 900.0;
+        config.mttr = 120.0;
+        config.recoverySeconds = 15.0;
+        config.retryBackoff = 0.5;
+        config.dropTimeout = 240.0;
+
+        recordedRoutes = 1469598103934665603ull;
+        const FarmRuntimeResult result = runFaultScenario(config, trace);
+        expectConservation(result);
+        EXPECT_GT(result.faults.downSeconds, 0.0);
+
+        std::uint64_t hash = recordedRoutes;
+        hashEpochStream(hash, result.epochs);
+        for (const FarmServerReport &server : result.servers) {
+            hashEpochStream(hash, server.epochs);
+            fnvMix(hash, doubleBits(server.total.energy));
+            fnvMix(hash, server.jobsRouted);
+        }
+        for (const FarmFaultStats &stats : result.epochFaults)
+            hashFaultStats(hash, stats);
+        hashFaultStats(hash, result.faults);
+        fnvMix(hash, doubleBits(result.total.energy));
+        EXPECT_EQ(hash, pin.hash) << pin.faults << "/" << pin.dispatcher
+                                  << "/" << pin.control;
+    }
+}
+
+TEST(FaultyFarmPin, ServerFarmRoutesEveryJobToThePinnedServer)
+{
+    // Drives a 16-server farm directly: fault events apply in time
+    // order before each arrival, and the admitting server of every job
+    // (or noServer) is hashed, followed by per-server energy, job
+    // counts and unavailability.
+    const struct
+    {
+        const char *faults;
+        const char *dispatcher;
+        std::uint64_t hash;
+    } pins[] = {
+        {"mtbf", "random", 10316226748534568036ull},
+        {"mtbf", "round-robin", 12005939843013168993ull},
+        {"mtbf", "JSQ", 16605398501934924335ull},
+        {"mtbf", "packing", 10655152028857477832ull},
+        {"correlated", "random", 2756995576360805163ull},
+        {"correlated", "round-robin", 937870430353370246ull},
+        {"correlated", "JSQ", 12830519506422047263ull},
+        {"correlated", "packing", 10972294388749846684ull},
+    };
+
+    constexpr std::size_t size = 16;
+    const PlatformModel platform = platformByName("xeon");
+    const WorkloadSpec workload = workloadByName("dns");
+    const UtilizationTrace trace("flat", std::vector<double>(30, 0.5));
+    const Policy policy{1.0, SleepPlan::immediate(LowPowerState::C6S0Idle)};
+    for (const auto &pin : pins) {
+        FaultSourceConfig faults;
+        faults.farmSize = size;
+        faults.mtbf = 600.0;
+        faults.mttr = 60.0;
+        faults.correlatedGroup = 4;
+        faults.seed = mixSeed(3);
+        const auto fault_source = makeFaultSource(pin.faults, faults);
+        ServerFarm farm(platform, ServiceScaling::cpuBound(), policy, size,
+                        makeDispatcher(pin.dispatcher, mixSeed(2), 0.5));
+        farm.setRecoverySeconds(10.0);
+        const auto source = makeFarmSource(workload, trace, size, 5);
+
+        std::uint64_t hash = 1469598103934665603ull;
+        FaultEvent event;
+        bool has_event = fault_source->next(event);
+        std::size_t unrouted = 0;
+        Job job;
+        while (source->next(job)) {
+            while (has_event && event.time <= job.arrival) {
+                if (event.down)
+                    farm.failServer(event.server, event.time);
+                else
+                    farm.restoreServer(event.server, event.time);
+                has_event = fault_source->next(event);
+            }
+            const std::size_t pick = farm.tryOfferJob(job);
+            unrouted += pick == ServerFarm::noServer ? 1 : 0;
+            fnvMix(hash, pick);
+        }
+        farm.advanceTo(trace.duration() + 600.0);
+        const std::vector<SimStats> windows = farm.harvestWindows();
+        for (std::size_t i = 0; i < size; ++i) {
+            fnvMix(hash, doubleBits(windows[i].energy));
+            fnvMix(hash, farm.jobsPerServer()[i]);
+            fnvMix(hash, doubleBits(farm.downSeconds(i)));
+        }
+        EXPECT_GT(farm.totalDownSeconds(), 0.0) << pin.faults;
+        EXPECT_LT(unrouted, 100u) << pin.faults;
+        EXPECT_EQ(hash, pin.hash) << pin.faults << "/" << pin.dispatcher;
+    }
+}
+
 // ------------------------------------------------- paired replication
 
 TEST(FaultReplication, PairedComparisonQuantifiesOutageCost)
