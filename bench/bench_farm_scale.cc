@@ -8,12 +8,17 @@
  * count and the bench stays seconds-long end to end. The 10k row runs
  * the large-farm configuration (auto sharding, no per-server tail
  * histograms) — the same shape the farm_scale_test smoke run pins.
+ * Every size runs twice: fault-free, and under MTBF churn (MTBF 4 h,
+ * MTTR 300 s per server), where some servers are down at almost every
+ * arrival of the larger farms.
  *
  * The headline column is jobs/s of wall time (generation + routing +
  * service simulation + accounting). Before the event wheel the
  * per-arrival dispatcher scan was O(N), so the 10k row ran ~100x
  * slower per job than the 100-server row; with the O(log N) core the
- * rows should stay within the same order of magnitude.
+ * rows should stay within the same order of magnitude, with or
+ * without faults. tools/ci.sh fails when the faulty 10k row runs more
+ * than 2x slower than the fault-free one.
  *
  * `--json` emits the same rows as a JSON document;
  * tools/bench_snapshot.sh captures that as BENCH_farm_scale.json so
@@ -26,6 +31,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "experiment/runner.hh"
@@ -40,6 +47,8 @@ namespace {
 struct ScaleRow
 {
     std::size_t servers;    ///< Farm size.
+    std::string faults;     ///< Fault-source family ("none", "mtbf").
+    double availability;    ///< Fraction of server-seconds up.
     std::size_t shards;     ///< Shard lanes requested (0 = auto).
     std::uint64_t jobs;     ///< Jobs offered over the run.
     double sim_minutes;     ///< Simulated trace span, minutes.
@@ -50,10 +59,11 @@ struct ScaleRow
 };
 
 ScaleRow
-runScale(std::size_t servers, std::size_t trace_minutes)
+runScale(std::size_t servers, std::size_t trace_minutes,
+         const std::string &faults)
 {
     std::ostringstream label;
-    label << "farm-" << servers;
+    label << "farm-" << servers << "-" << faults;
     ScenarioBuilder builder(label.str());
     builder.engine(EngineKind::Farm)
         .workload("dns")
@@ -64,7 +74,9 @@ runScale(std::size_t servers, std::size_t trace_minutes)
         .farmShards(0) // Auto: lanes scale with the farm size.
         .epochMinutes(5)
         .predictor("LC")
-        .seed(7);
+        .seed(7)
+        .faults(faults)
+        .faultRates(4.0 * 3600.0, 300.0);
     // The large-farm configuration: per-server percentile histograms
     // are the one per-server cost that is not O(1), so the 10k row
     // runs without them exactly like a production-scale sweep would.
@@ -78,6 +90,8 @@ runScale(std::size_t servers, std::size_t trace_minutes)
 
     ScaleRow row;
     row.servers = servers;
+    row.faults = faults;
+    row.availability = result.extra("availability");
     row.shards = spec.farmShards;
     row.jobs = result.jobs;
     row.sim_minutes = static_cast<double>(trace_minutes);
@@ -103,13 +117,19 @@ printJson(std::ostream &out, const std::vector<ScaleRow> &rows)
 {
     out << "{\n"
         << "  \"bench\": \"farm_scale\",\n"
+        << "  \"machine\": {\"hardware_threads\": "
+        << std::thread::hardware_concurrency()
+        << ", \"compiler\": \"" << __VERSION__ << "\"},\n"
         << "  \"workload\": \"dns\",\n"
         << "  \"load\": 0.25,\n"
         << "  \"dispatcher\": \"JSQ\",\n"
+        << "  \"mtbf_s\": 14400,\n"
+        << "  \"mttr_s\": 300,\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ScaleRow &row = rows[i];
         out << "    {\"servers\": " << row.servers
+            << ", \"faults\": \"" << row.faults << "\""
             << ", \"shards\": " << row.shards
             << ", \"sim_minutes\": " << fmt(row.sim_minutes, 0)
             << ", \"jobs\": " << row.jobs
@@ -117,6 +137,7 @@ printJson(std::ostream &out, const std::vector<ScaleRow> &rows)
             << ", \"jobs_per_sec\": " << fmt(row.jobs_per_sec, 0)
             << ", \"mean_response_s\": " << fmt(row.mean_response_s, 6)
             << ", \"farm_kw\": " << fmt(row.farm_kw, 3)
+            << ", \"availability\": " << fmt(row.availability, 6)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -128,18 +149,20 @@ printTable(std::ostream &out, const std::vector<ScaleRow> &rows)
     printBanner(out,
                 "Farm scale bench: streaming throughput of the "
                 "event-driven core (DNS, load 0.25, JSQ)");
-    TablePrinter table({"servers", "jobs", "sim [min]", "wall [ms]",
-                        "jobs/s", "E[R] [s]", "farm [kW]"});
+    TablePrinter table({"servers", "faults", "avail", "jobs", "sim [min]",
+                        "wall [ms]", "jobs/s", "E[R] [s]", "farm [kW]"});
     for (const ScaleRow &row : rows)
-        table.addRow({std::to_string(row.servers),
-                      std::to_string(row.jobs), fmt(row.sim_minutes, 0),
-                      fmt(row.wall_ms, 1), fmt(row.jobs_per_sec, 0),
+        table.addRow({std::to_string(row.servers), row.faults,
+                      fmt(row.availability, 4), std::to_string(row.jobs),
+                      fmt(row.sim_minutes, 0), fmt(row.wall_ms, 1),
+                      fmt(row.jobs_per_sec, 0),
                       fmt(row.mean_response_s, 4), fmt(row.farm_kw, 2)});
     table.print(out);
     out << "\nExpected: jobs/s stays within one order of magnitude "
-           "from 100 to 10k servers\n(the event wheel makes routing "
-           "O(log N)); a collapse on the 10k row means a\nper-arrival "
-           "or per-epoch O(N) scan crept back into the farm path.\n";
+           "from 100 to 10k servers,\nwith or without faults (routing "
+           "is O(log N) however many servers are\ndown); a collapse on "
+           "a 10k row means a per-arrival or per-epoch O(N) scan\ncrept "
+           "back into the farm path.\n";
 }
 
 } // namespace
@@ -154,9 +177,13 @@ main(int argc, char **argv)
     }
 
     std::vector<ScaleRow> rows;
-    rows.push_back(runScale(100, 20));
-    rows.push_back(runScale(1000, 10));
-    rows.push_back(runScale(10000, 2));
+    for (const auto &[servers, minutes] :
+         {std::pair<std::size_t, std::size_t>{100, 20},
+          {1000, 10},
+          {10000, 2}}) {
+        for (const char *faults : {"none", "mtbf"})
+            rows.push_back(runScale(servers, minutes, faults));
+    }
 
     if (json)
         printJson(std::cout, rows);

@@ -34,20 +34,24 @@ struct ServerSnapshot
 /**
  * Indexed view of the farm at one arrival instant.
  *
+ * The view covers the servers accepting work at that instant — every
+ * server on a healthy farm — numbered 0..count()-1 in server-index
+ * order; ServerFarm maps the chosen view index back to its server.
  * Unlike the materialized ServerSnapshot vector, a FarmView answers
  * point queries lazily and exposes the two aggregate lookups the
  * built-in dispatchers need — lowest idle server, least-backlogged
  * busy server — in O(log N) against the farm's event-time indexes
- * (farm/farm_calendar.hh), so routing never scans the whole farm.
- * Both aggregates break ties to the lowest server index, matching the
- * legacy full-scan dispatchers bit for bit.
+ * (farm/farm_calendar.hh), so routing never scans the whole farm,
+ * however many servers are down. Both aggregates break ties to the
+ * lowest index, matching the legacy full-scan dispatchers bit for
+ * bit.
  */
 class FarmView
 {
   public:
     virtual ~FarmView() = default;
 
-    /** Number of servers in the view. */
+    /** Number of servers in the view (the accepting servers). */
     virtual std::size_t count() const = 0;
 
     /** Committed seconds of work remaining on one server. */
@@ -73,6 +77,10 @@ class Dispatcher
     /**
      * Route one job.
      *
+     * Legacy interface, reached only through the base FarmView
+     * overload below (ServerFarm itself always routes through a
+     * FarmView).
+     *
      * @param job The arriving job.
      * @param servers Current per-server state, one entry per server.
      * @return Index of the chosen server (< servers.size()).
@@ -82,11 +90,12 @@ class Dispatcher
         = 0;
 
     /**
-     * Route one job against an indexed farm view (the fault-free fast
-     * path). The base implementation materializes a ServerSnapshot
-     * vector and defers to the legacy overload, so third-party
-     * dispatchers registered against dispatcherRegistry() keep working
-     * unchanged; the built-ins override this with O(log N) routing.
+     * Route one job against an indexed farm view — the one routing
+     * path ServerFarm uses, healthy or faulty. The base implementation
+     * materializes a ServerSnapshot vector over the view and defers to
+     * the legacy overload, so third-party dispatchers registered
+     * against dispatcherRegistry() keep working unchanged; the
+     * built-ins override this with O(log N) routing.
      *
      * @param job The arriving job.
      * @param farm Indexed view of the farm at the arrival instant.

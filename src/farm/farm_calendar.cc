@@ -99,4 +99,97 @@ IdleSet::lowest() const
     return word;
 }
 
+RankedSet::RankedSet(std::size_t size, bool full)
+    : _size(size), _words(wordsFor(size), 0), _tree(_words.size() + 1, 0)
+{
+    if (full) {
+        for (std::size_t i = 0; i < size; ++i)
+            insert(i);
+    }
+}
+
+void
+RankedSet::adjust(std::size_t word, std::uint32_t delta)
+{
+    for (std::size_t i = word + 1; i < _tree.size(); i += i & (~i + 1))
+        _tree[i] += delta;
+}
+
+void
+RankedSet::insert(std::size_t index)
+{
+    fatalIf(index >= _size, "RankedSet::insert: index out of range");
+    std::uint64_t &word = _words[index / wordBits];
+    const std::uint64_t bit = std::uint64_t{1} << (index % wordBits);
+    if (word & bit)
+        return;
+    word |= bit;
+    ++_members;
+    adjust(index / wordBits, 1);
+}
+
+void
+RankedSet::erase(std::size_t index)
+{
+    fatalIf(index >= _size, "RankedSet::erase: index out of range");
+    std::uint64_t &word = _words[index / wordBits];
+    const std::uint64_t bit = std::uint64_t{1} << (index % wordBits);
+    if (!(word & bit))
+        return;
+    word &= ~bit;
+    --_members;
+    adjust(index / wordBits, ~std::uint32_t{0});
+}
+
+std::size_t
+RankedSet::rank(std::size_t index) const
+{
+    if (_members == _size)
+        return index;
+    const std::size_t word = index / wordBits;
+    std::size_t below = 0;
+    for (std::size_t i = word; i > 0; i -= i & (~i + 1))
+        below += _tree[i];
+    if (index % wordBits != 0) {
+        const std::uint64_t mask =
+            (std::uint64_t{1} << (index % wordBits)) - 1;
+        below += static_cast<std::size_t>(
+            std::popcount(_words[word] & mask));
+    }
+    return below;
+}
+
+std::size_t
+RankedSet::select(std::size_t k) const
+{
+    if (_members == _size)
+        return k;
+    fatalIf(k >= _members, "RankedSet::select: rank out of range");
+    // Fenwick descent to the word holding the k-th member: `word` ends
+    // as the number of whole words whose members all rank below k.
+    std::size_t word = 0;
+    std::size_t rest = k;
+    for (std::size_t step = std::bit_floor(_words.size()); step > 0;
+         step >>= 1) {
+        const std::size_t next = word + step;
+        if (next < _tree.size() && _tree[next] <= rest) {
+            word = next;
+            rest -= _tree[next];
+        }
+    }
+    // Binary search for the rest-th set bit inside that word.
+    std::uint64_t bits = _words[word];
+    std::size_t offset = 0;
+    for (unsigned width = wordBits / 2; width > 0; width /= 2) {
+        const std::size_t low = static_cast<std::size_t>(std::popcount(
+            bits & ((std::uint64_t{1} << width) - 1)));
+        if (rest >= low) {
+            rest -= low;
+            bits >>= width;
+            offset += width;
+        }
+    }
+    return word * wordBits + offset;
+}
+
 } // namespace sleepscale

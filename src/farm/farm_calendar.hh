@@ -2,15 +2,17 @@
  * @file
  * Event-time index structures for the O(1)-dispatch farm core.
  *
- * The farm's routing fast path must answer two queries per arrival
- * without scanning every server: "lowest-index idle server" and
- * "busy server whose queue empties first (lowest index on ties)".
- * IdleSet answers the first with a hierarchical 64-ary bitmap;
- * BusyCalendar answers the second with a lazy min-heap of
- * (queue-empties time, server) entries keyed against the farm's
- * next-free mirror. Together they replace the per-arrival O(N)
- * snapshot scan with O(log N) work, which is what makes 10k–100k
- * server farms tractable (docs/FARM_SCALE.md).
+ * The farm's routing path must answer two queries per arrival without
+ * scanning every server: "lowest-index idle server" and "busy server
+ * whose queue empties first (lowest index on ties)". IdleSet answers
+ * the first with a hierarchical 64-ary bitmap; BusyCalendar answers
+ * the second with a lazy min-heap of (queue-empties time, server)
+ * entries keyed against the farm's next-free mirror. RankedSet holds
+ * the servers accepting work and maps between server indices and
+ * their rank among the accepting servers, so routing stays O(log N)
+ * while servers are down. Together they replace the per-arrival O(N)
+ * snapshot scan, which is what makes 10k–100k server farms tractable
+ * under churn (docs/FARM_SCALE.md).
  *
  * Both structures are bookkeeping only: they never touch simulation
  * state, so routing decisions made through them are bit-identical to
@@ -79,6 +81,66 @@ class IdleSet
     std::vector<std::vector<std::uint64_t>> _levels;
 };
 
+/**
+ * Ordered set of server indices with O(log N) rank and select: the
+ * farm's accepting-servers mask. Membership is one bit per server; a
+ * Fenwick tree over the per-word popcounts answers "how many members
+ * lie below index i" (rank) and "which index is the k-th member"
+ * (select) in O(log(N / 64)) steps, independent of how many indices
+ * are absent. A full set skips the tree: rank and select are the
+ * identity.
+ */
+class RankedSet
+{
+  public:
+    /** Empty set over zero servers (reassign to size before use). */
+    RankedSet() = default;
+
+    /**
+     * Set over server indices [0, size).
+     *
+     * @param size Number of server slots.
+     * @param full Start with every index a member.
+     */
+    explicit RankedSet(std::size_t size, bool full = false);
+
+    /** Add an index to the set (no-op when already a member). */
+    void insert(std::size_t index);
+
+    /** Remove an index from the set (no-op when not a member). */
+    void erase(std::size_t index);
+
+    /** Whether an index is currently a member. */
+    bool contains(std::size_t index) const
+    {
+        return (_words[index / 64] >> (index % 64)) & std::uint64_t{1};
+    }
+
+    /** Number of members. */
+    std::size_t count() const { return _members; }
+
+    /** Number of members below `index` (index itself need not be a
+     * member; index <= the set's size). */
+    std::size_t rank(std::size_t index) const;
+
+    /** The k-th member in index order, counting from 0 (k < count()). */
+    std::size_t select(std::size_t k) const;
+
+  private:
+    std::size_t _size = 0;
+    std::size_t _members = 0;
+
+    /** One bit per server slot. */
+    std::vector<std::uint64_t> _words;
+
+    /** 1-based Fenwick tree over the popcounts of _words. */
+    std::vector<std::uint32_t> _tree;
+
+    /** Add delta (modulo 2^32, so ~0u subtracts one) to one word's
+     * popcount in the tree. */
+    void adjust(std::size_t word, std::uint32_t delta);
+};
+
 /** One scheduled queue-empties event: server becomes idle at `time`. */
 struct CalendarEntry
 {
@@ -89,7 +151,10 @@ struct CalendarEntry
 /**
  * Lazy min-heap of queue-empties events, ordered by (time, server) so
  * ties break to the lowest server index exactly like the legacy
- * lowest-index dispatcher scans.
+ * lowest-index dispatcher scans. The same structure keyed against a
+ * different per-server time vector serves any per-server event whose
+ * time can be superseded (ServerFarm keeps its pending recovery
+ * completions in one, keyed on the accept-from times).
  *
  * Every admission pushes a fresh entry with the server's new next-free
  * time; earlier entries for the same server are not removed but become
@@ -152,12 +217,39 @@ class BusyCalendar
      */
     std::size_t earliestBusy(const std::vector<double> &next_free)
     {
-        while (!_heap.empty()
-               && _heap.front().time != next_free[_heap.front().server]) {
+        return earliestBusy(
+            next_free, [](std::size_t) { return true; },
+            [](std::size_t) {});
+    }
+
+    /**
+     * earliestBusy() restricted to eligible servers. A valid entry
+     * whose server is not eligible is removed too and reported through
+     * `on_removed(server)`, so the caller can push it back once the
+     * server is eligible again.
+     *
+     * @param next_free Per-server next-free mirror (the validity key).
+     * @param eligible Predicate: may this server be returned?
+     * @param on_removed Callback for each valid entry removed because
+     *        its server was not eligible.
+     * @return Server index, or none when no eligible entry remains.
+     */
+    template <typename Eligible, typename OnRemoved>
+    std::size_t earliestBusy(const std::vector<double> &next_free,
+                             const Eligible &eligible,
+                             OnRemoved &&on_removed)
+    {
+        while (!_heap.empty()) {
+            const CalendarEntry &top = _heap.front();
+            if (top.time == next_free[top.server]) {
+                if (eligible(top.server))
+                    return top.server;
+                on_removed(top.server);
+            }
             std::pop_heap(_heap.begin(), _heap.end(), later);
             _heap.pop_back();
         }
-        return _heap.empty() ? none : _heap.front().server;
+        return none;
     }
 
   private:

@@ -12,52 +12,62 @@ namespace {
 
 constexpr double never = std::numeric_limits<double>::infinity();
 
-/** FarmView over the whole farm (the fault-free fast path): point
- * queries hit the servers directly, aggregate queries hit the
- * event-time indexes. */
-class FullFarmView final : public FarmView
+} // namespace
+
+/**
+ * FarmView over the accepting servers, in rank space: view index k is
+ * the k-th accepting server in index order, and tryOfferJob() maps the
+ * dispatcher's choice back with RankedSet::select. Point queries hit
+ * the servers directly; the aggregate queries hit the event-time
+ * indexes, which only ever yield accepting servers, and translate the
+ * answer with RankedSet::rank.
+ */
+class ServerFarm::AcceptingView final : public FarmView
 {
   public:
-    FullFarmView(const std::vector<ServerSim> &servers,
-                 const IdleSet &idle_set, BusyCalendar &calendar,
-                 const std::vector<double> &next_free, double now)
-        : _servers(servers), _idleSet(idle_set), _calendar(calendar),
-          _nextFree(next_free), _now(now)
+    AcceptingView(ServerFarm &farm, double now) : _farm(farm), _now(now) {}
+
+    std::size_t count() const override { return _farm._accepting.count(); }
+
+    double backlog(std::size_t rank) const override
     {
+        return server(rank).backlog(_now);
     }
 
-    std::size_t count() const override { return _servers.size(); }
-
-    double backlog(std::size_t server) const override
+    bool idle(std::size_t rank) const override
     {
-        return _servers[server].backlog(_now);
-    }
-
-    bool idle(std::size_t server) const override
-    {
-        return _servers[server].idleAt(_now);
+        return server(rank).idleAt(_now);
     }
 
     std::size_t lowestIdle() const override
     {
-        return _idleSet.empty() ? _servers.size() : _idleSet.lowest();
+        return _farm._idleSet.empty()
+                   ? count()
+                   : _farm._accepting.rank(_farm._idleSet.lowest());
     }
 
     std::size_t leastBacklogBusy() const override
     {
-        const std::size_t server = _calendar.earliestBusy(_nextFree);
-        return server == BusyCalendar::none ? _servers.size() : server;
+        // A crashed server still draining its backlog keeps a valid
+        // calendar entry; it is set aside here and pushed back when
+        // the server recovers (ServerFarm::completeRecovery).
+        const std::size_t busy = _farm._calendar.earliestBusy(
+            _farm._nextFree,
+            [this](std::size_t s) { return _farm._accepting.contains(s); },
+            [this](std::size_t s) { _farm._setAside[s] = true; });
+        return busy == BusyCalendar::none ? count()
+                                          : _farm._accepting.rank(busy);
     }
 
   private:
-    const std::vector<ServerSim> &_servers;
-    const IdleSet &_idleSet;
-    BusyCalendar &_calendar; ///< Non-const: lookups prune stale entries.
-    const std::vector<double> &_nextFree;
+    const ServerSim &server(std::size_t rank) const
+    {
+        return _farm._servers[_farm._accepting.select(rank)];
+    }
+
+    ServerFarm &_farm; ///< Non-const: calendar lookups prune entries.
     double _now;
 };
-
-} // namespace
 
 std::string
 toString(ServerLifecycle state)
@@ -91,7 +101,9 @@ ServerFarm::ServerFarm(const PlatformModel &platform,
     _downSeconds.assign(size, 0.0);
     _downMark.assign(size, 0.0);
     _nextFree.assign(size, 0.0);
+    _setAside.assign(size, false);
     _idleSet = IdleSet(size, /*full=*/true);
+    _accepting = RankedSet(size, /*full=*/true);
 }
 
 ServerFarm::ServerFarm(const std::vector<const PlatformModel *> &platforms,
@@ -112,7 +124,9 @@ ServerFarm::ServerFarm(const std::vector<const PlatformModel *> &platforms,
     _downSeconds.assign(platforms.size(), 0.0);
     _downMark.assign(platforms.size(), 0.0);
     _nextFree.assign(platforms.size(), 0.0);
+    _setAside.assign(platforms.size(), false);
     _idleSet = IdleSet(platforms.size(), /*full=*/true);
+    _accepting = RankedSet(platforms.size(), /*full=*/true);
 }
 
 void
@@ -152,12 +166,26 @@ ServerFarm::forEachServer(const Body &body)
 }
 
 void
-ServerFarm::processCalendarUpTo(double t)
+ServerFarm::syncTo(double t)
 {
-    _calendar.drainDue(t, _nextFree,
-                       [this](std::size_t server) {
-                           _idleSet.insert(server);
-                       });
+    _recoveries.drainDue(t, _acceptFrom, [this, t](std::size_t server) {
+        completeRecovery(server, t);
+    });
+    _calendar.drainDue(t, _nextFree, [this](std::size_t server) {
+        if (_accepting.contains(server))
+            _idleSet.insert(server);
+    });
+}
+
+void
+ServerFarm::completeRecovery(std::size_t server, double t)
+{
+    _accepting.insert(server);
+    if (_nextFree[server] <= t)
+        _idleSet.insert(server);
+    else if (_setAside[server])
+        _calendar.push(_nextFree[server], server);
+    _setAside[server] = false;
 }
 
 void
@@ -188,46 +216,17 @@ ServerFarm::tryOfferJob(const Job &job)
             "ServerFarm::offerJob: arrivals must be non-decreasing");
     _lastArrival = job.arrival;
 
-    std::size_t pick = noServer;
-    if (!_anyUnavailable) {
-        // Fault-free fast path: O(log N) routing through the idle set
-        // and busy calendar, with routing decisions (and dispatcher
-        // RNG consumption) identical to the legacy full-scan path.
-        processCalendarUpTo(job.arrival);
-        FullFarmView view(_servers, _idleSet, _calendar, _nextFree,
-                          job.arrival);
-        pick = _dispatcher->route(job, view);
-        fatalIf(pick >= _servers.size(),
-                "ServerFarm: dispatcher chose a server out of range");
-    } else {
-        // Failover path: the dispatcher only sees the servers
-        // accepting work at this instant, in index order, and its
-        // choice maps back through the eligibility list.
-        std::vector<std::size_t> eligible;
-        eligible.reserve(_servers.size());
-        for (std::size_t i = 0; i < _servers.size(); ++i) {
-            if (accepting(i, job.arrival))
-                eligible.push_back(i);
-        }
-        if (eligible.size() == _servers.size()) {
-            // Everyone recovered: drop back to the fast path for good
-            // (until the next failServer()).
-            _anyUnavailable = false;
-            return tryOfferJob(job);
-        }
-        if (eligible.empty())
-            return noServer;
-        std::vector<ServerSnapshot> view(eligible.size());
-        for (std::size_t k = 0; k < eligible.size(); ++k) {
-            view[k].backlog =
-                _servers[eligible[k]].backlog(job.arrival);
-            view[k].idle = _servers[eligible[k]].idleAt(job.arrival);
-        }
-        const std::size_t choice = _dispatcher->route(job, view);
-        fatalIf(choice >= eligible.size(),
-                "ServerFarm: dispatcher chose a server out of range");
-        pick = eligible[choice];
-    }
+    // One routing path for healthy and faulty farms: the dispatcher
+    // sees the accepting servers in rank space, and every query costs
+    // O(log N) whatever the number of servers down.
+    syncTo(job.arrival);
+    if (_accepting.count() == 0)
+        return noServer;
+    AcceptingView view(*this, job.arrival);
+    const std::size_t choice = _dispatcher->route(job, view);
+    fatalIf(choice >= _accepting.count(),
+            "ServerFarm: dispatcher chose a server out of range");
+    const std::size_t pick = _accepting.select(choice);
     _servers[pick].offerJob(job);
     noteAdmission(pick);
     ++_jobsRouted[pick];
@@ -237,11 +236,12 @@ ServerFarm::tryOfferJob(const Job &job)
 void
 ServerFarm::advanceTo(double t)
 {
-    processCalendarUpTo(t);
+    syncTo(t);
     forEachServer([&](std::size_t i) { _servers[i].advanceTo(t); });
     // Unavailability accrual is a no-op on a server that never crashed
     // (acceptFrom stays 0), so fault-free farms skip the loop outright.
-    if (_everFailed && (_anyUnavailable || t > _lastAdvance)) {
+    if (_everFailed &&
+        (_accepting.count() < _servers.size() || t > _lastAdvance)) {
         for (std::size_t i = 0; i < _servers.size(); ++i)
             accrueDown(i, t);
     }
@@ -272,7 +272,8 @@ ServerFarm::failServer(std::size_t server, double t)
     accrueDown(server, t);
     _acceptFrom[server] = never;
     _downMark[server] = std::max(t, _downMark[server]);
-    _anyUnavailable = true;
+    _accepting.erase(server);
+    _idleSet.erase(server);
     _everFailed = true;
 }
 
@@ -286,6 +287,7 @@ ServerFarm::restoreServer(std::size_t server, double t)
     accrueDown(server, t);
     _acceptFrom[server] = t + _recoverySeconds;
     _downMark[server] = std::max(_downMark[server], t);
+    _recoveries.push(_acceptFrom[server], server);
 }
 
 void

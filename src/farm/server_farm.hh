@@ -96,9 +96,16 @@ class ServerFarm
      * Fault-tolerant variant of offerJob(): routes among the servers
      * accepting work at the arrival instant and returns noServer —
      * instead of fatal() — when there are none, so the caller can
-     * back off and retry (FarmRuntime's failover path). With every
-     * server up this is byte-identical to offerJob(), including the
-     * dispatcher's RNG consumption.
+     * back off and retry (FarmRuntime's failover path). Otherwise it
+     * is byte-identical to offerJob(), including the dispatcher's RNG
+     * consumption.
+     *
+     * Healthy and faulty farms share one routing path: the dispatcher
+     * sees a FarmView over the accepting servers only, in rank space
+     * (view index k is the k-th accepting server in index order), so
+     * it chooses among them exactly as it would over a farm of that
+     * size, and every query costs O(log N) however many servers are
+     * down. Arrivals must not precede the last advanceTo() time.
      *
      * @return Index of the admitting server, or noServer.
      */
@@ -235,10 +242,6 @@ class ServerFarm
     /** Latest advanceTo() time (drives unavailability accrual). */
     double _lastAdvance = 0.0;
 
-    /** Whether any server is currently crashed or recovering (fast
-     * path: fault-free runs skip the eligibility filter entirely). */
-    bool _anyUnavailable = false;
-
     /** Whether any server has ever crashed (fault-free farms skip the
      * per-server unavailability accrual loop entirely). */
     bool _everFailed = false;
@@ -248,11 +251,26 @@ class ServerFarm
      * stale-entry detection and the idle set. */
     std::vector<double> _nextFree;
 
-    /** Idle servers (lowest-index lookup for the dispatch fast path). */
+    /** Servers that are idle *and* accepting work (lowest-index lookup
+     * for routing). */
     IdleSet _idleSet;
 
-    /** Queue-empties events for busy servers (lazy min-heap). */
+    /** Queue-empties events for busy servers (lazy min-heap). Lookups
+     * skip servers that are not accepting work. */
     BusyCalendar _calendar;
+
+    /** Servers accepting work as of the last syncTo(), with the rank
+     * and select that map between server indices and view indices. */
+    RankedSet _accepting;
+
+    /** Pending recovery completions, keyed on _acceptFrom: a crash
+     * during recovery or a later restore makes the old entry stale. */
+    BusyCalendar _recoveries;
+
+    /** Per server: whether a calendar lookup removed its valid entry
+     * while it was not accepting work (completeRecovery() pushes the
+     * entry back). */
+    std::vector<bool> _setAside;
 
     /** Worker pool for sharded accounting (not owned; may be null). */
     ThreadPool *_shardPool = nullptr;
@@ -260,8 +278,17 @@ class ServerFarm
     /** Accrue one server's unavailability up to time t. */
     void accrueDown(std::size_t server, double t);
 
-    /** Retire queue-empties events due by time t into the idle set. */
-    void processCalendarUpTo(double t);
+    /** Routing view over the accepting servers (defined in the .cc). */
+    class AcceptingView;
+
+    /** Bring the accepting mask and idle set up to time t: complete
+     * the recoveries due by t, then retire queue-empties events due by
+     * t into the idle set (accepting servers only). */
+    void syncTo(double t);
+
+    /** A server's recovery has completed by time t: it accepts work
+     * again and rejoins the idle set or the calendar. */
+    void completeRecovery(std::size_t server, double t);
 
     /** Record an admission in the next-free mirror, idle set, and
      * calendar (no simulation effect). */

@@ -4,7 +4,8 @@
  * the ServerFarm crash/recovery lifecycle, dispatcher failover with
  * retry/backoff and drop accounting, degraded-mode policy decisions,
  * and — most load-bearing — the pin that a "none"-fault configuration
- * reproduces the fault-free farm runtime bit-for-bit.
+ * reproduces the fault-free farm runtime bit-for-bit, plus hash pins
+ * over whole faulty runs.
  */
 
 #include <gtest/gtest.h>

@@ -1,16 +1,18 @@
 /**
  * @file
  * Scale tests for the event-driven farm core (docs/FARM_SCALE.md):
- * the IdleSet / BusyCalendar index structures, bit-identical results
- * at every shard-pool width, bounded calendar memory over a long
- * streaming run, and the 10k-server million-job smoke run with the
- * conservation invariant checked at every epoch close.
+ * the IdleSet / BusyCalendar / RankedSet index structures, faulty-farm
+ * routing against a brute-force eligible-scan reference, bit-identical
+ * results at every shard-pool width, bounded calendar memory over a
+ * long streaming run, and the 10k-server million-job smoke run with
+ * the conservation invariant checked at every epoch close.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "farm/farm_runtime.hh"
 #include "farm/server_farm.hh"
 #include "power/platform_model.hh"
+#include "sim/server_sim.hh"
 #include "util/rng.hh"
 #include "workload/workload_spec.hh"
 
@@ -121,6 +124,193 @@ TEST(BusyCalendar, EarliestBusyBreaksTiesToLowestServer)
     next_free[1] = 8.0;
     EXPECT_EQ(calendar.earliestBusy(next_free), BusyCalendar::none);
     EXPECT_TRUE(calendar.empty());
+}
+
+TEST(RankedSet, RankAndSelectMatchNaiveScanUnderChurn)
+{
+    for (const std::size_t size : {std::size_t{1}, std::size_t{64},
+                                   std::size_t{200}, std::size_t{4097}}) {
+        RankedSet set(size, /*full=*/true);
+        std::vector<bool> naive(size, true);
+        Rng rng(size);
+        for (int step = 0; step < 600; ++step) {
+            const std::size_t index = rng.uniformInt(size);
+            if (rng.uniform() < 0.55) {
+                set.erase(index);
+                naive[index] = false;
+            } else {
+                set.insert(index);
+                naive[index] = true;
+            }
+            // Check select and rank at evenly spaced ranks, and rank
+            // at size itself.
+            std::vector<std::size_t> members;
+            for (std::size_t i = 0; i < size; ++i) {
+                if (naive[i])
+                    members.push_back(i);
+            }
+            ASSERT_EQ(set.count(), members.size());
+            for (std::size_t k = 0; k < members.size();
+                 k += 1 + members.size() / 16) {
+                EXPECT_EQ(set.select(k), members[k]) << size << "/" << k;
+                EXPECT_EQ(set.rank(members[k]), k) << size;
+                EXPECT_TRUE(set.contains(members[k]));
+            }
+            EXPECT_EQ(set.rank(size), members.size());
+        }
+    }
+    RankedSet empty(70);
+    EXPECT_EQ(empty.count(), 0u);
+    EXPECT_EQ(empty.rank(70), 0u);
+    empty.insert(69);
+    EXPECT_EQ(empty.select(0), 69u);
+}
+
+/**
+ * Brute-force model of failover routing: a farm of plain ServerSims
+ * whose dispatcher sees a ServerSnapshot vector of exactly the servers
+ * accepting work at the arrival instant, in index order, and whose
+ * choice maps back through that eligible list.
+ */
+class ReferenceFarm
+{
+  public:
+    ReferenceFarm(const PlatformModel &platform, const Policy &policy,
+                  std::size_t size, std::unique_ptr<Dispatcher> dispatcher)
+        : _acceptFrom(size, 0.0), _dispatcher(std::move(dispatcher))
+    {
+        for (std::size_t i = 0; i < size; ++i)
+            _servers.emplace_back(platform, ServiceScaling::cpuBound(),
+                                  policy);
+    }
+
+    void fail(std::size_t server) { _acceptFrom[server] = infinity; }
+
+    void restore(std::size_t server, double t, double recovery)
+    {
+        if (_acceptFrom[server] == infinity)
+            _acceptFrom[server] = t + recovery;
+    }
+
+    std::size_t offer(const Job &job)
+    {
+        std::vector<std::size_t> eligible;
+        std::vector<ServerSnapshot> view;
+        for (std::size_t i = 0; i < _servers.size(); ++i) {
+            if (job.arrival >= _acceptFrom[i]) {
+                eligible.push_back(i);
+                view.push_back({_servers[i].backlog(job.arrival),
+                                _servers[i].idleAt(job.arrival)});
+            }
+        }
+        if (eligible.empty())
+            return ServerFarm::noServer;
+        const std::size_t pick = eligible.at(_dispatcher->route(job, view));
+        _servers[pick].offerJob(job);
+        return pick;
+    }
+
+    void advanceTo(double t)
+    {
+        for (ServerSim &server : _servers)
+            server.advanceTo(t);
+    }
+
+  private:
+    static constexpr double infinity =
+        std::numeric_limits<double>::infinity();
+    std::vector<ServerSim> _servers;
+    std::vector<double> _acceptFrom;
+    std::unique_ptr<Dispatcher> _dispatcher;
+};
+
+// ServerFarm routes faulty farms through the same rank-space FarmView
+// as healthy ones. Replays random crash / restore / arrival sequences
+// against the brute-force eligible-scan model and demands the same pick
+// for every job, for all four dispatchers. The random dispatcher makes
+// one draw per routed job on both sides, so equal picks across the
+// whole sequence also pin equal RNG consumption.
+TEST(FarmScale, FaultyRoutingMatchesEligibleScanReference)
+{
+    const PlatformModel xeon = PlatformModel::xeon();
+    const Policy policy{1.0, SleepPlan::immediate(LowPowerState::C6S0Idle)};
+    std::size_t busy_recoveries = 0;
+    std::size_t recovery_crashes = 0;
+    std::size_t outages = 0;
+    for (const char *dispatcher : {"random", "round-robin", "JSQ", "packing"}) {
+        for (const std::size_t size :
+             {std::size_t{3}, std::size_t{70}, std::size_t{150}}) {
+            for (const double recovery : {0.0, 0.4}) {
+                const std::string context = std::string(dispatcher) + "/" +
+                                            std::to_string(size) + "/" +
+                                            std::to_string(recovery);
+                ServerFarm farm(xeon, ServiceScaling::cpuBound(), policy,
+                                size, makeDispatcher(dispatcher, 17, 0.3));
+                farm.setRecoverySeconds(recovery);
+                ReferenceFarm reference(xeon, policy, size,
+                                        makeDispatcher(dispatcher, 17, 0.3));
+                Rng rng(size * 31 + (recovery > 0.0 ? 1 : 0));
+                // Mean service 0.05 s against a 0.25 s mean gap per
+                // server keeps queues short but nonempty.
+                const double gap = 0.25 / static_cast<double>(size);
+                double t = 1.0;
+                std::vector<Job> retries;
+                for (int step = 0; step < 6000; ++step) {
+                    t += rng.exponential(gap);
+                    const double roll = rng.uniform();
+                    const std::size_t server = rng.uniformInt(size);
+                    if (roll < 0.04) {
+                        // Crash, sometimes mid-recovery or mid-drain.
+                        if (farm.lifecycle(server, t) ==
+                            ServerLifecycle::Recovering)
+                            ++recovery_crashes;
+                        farm.failServer(server, t);
+                        reference.fail(server);
+                    } else if (roll < 0.08) {
+                        // Count restores whose recovery completes
+                        // before the server's queue drains.
+                        if (!farm.accepting(server, t) && recovery > 0.0 &&
+                            farm.backlog(server, t) > recovery)
+                            ++busy_recoveries;
+                        farm.restoreServer(server, t);
+                        reference.restore(server, t, recovery);
+                    } else if (roll < 0.081) {
+                        // Full outage: every arrival bounces until a
+                        // server comes back, then its retry routes.
+                        for (std::size_t i = 0; i < size; ++i) {
+                            farm.failServer(i, t);
+                            reference.fail(i);
+                        }
+                        ++outages;
+                    } else if (roll < 0.09) {
+                        farm.advanceTo(t);
+                        reference.advanceTo(t);
+                    } else {
+                        Job job{t, rng.exponential(0.05)};
+                        if (!retries.empty() && rng.uniform() < 0.5) {
+                            job = retries.back();
+                            job.arrival = t;
+                            retries.pop_back();
+                        }
+                        const std::size_t got = farm.tryOfferJob(job);
+                        ASSERT_EQ(got, reference.offer(job))
+                            << context << " step " << step;
+                        if (got == ServerFarm::noServer)
+                            retries.push_back(job);
+                    }
+                    // Keep the farm from staying dark for long.
+                    if (farm.acceptingCount(t) == 0 && rng.uniform() < 0.2) {
+                        farm.restoreServer(server, t);
+                        reference.restore(server, t, recovery);
+                    }
+                }
+            }
+        }
+    }
+    // The sequences really reached the regimes under test.
+    EXPECT_GT(busy_recoveries, 0u);
+    EXPECT_GT(recovery_crashes, 0u);
+    EXPECT_GT(outages, 0u);
 }
 
 FarmRuntimeConfig

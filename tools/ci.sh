@@ -3,9 +3,10 @@
 #
 #   tools/ci.sh [build-dir]
 #
-# Configures a Release build with warnings-as-on (-Wall -Wextra -Wshadow
-# are baked into CMakeLists.txt), builds everything (library, tests,
-# benches, examples), runs the full ctest suite, and — when Google
+# Configures a Release build with warnings as errors (-Wall -Wextra
+# -Wshadow are baked into CMakeLists.txt; SLEEPSCALE_WERROR adds
+# -Werror), builds everything (library, tests, benches, examples),
+# runs the full ctest suite, and — when Google
 # Benchmark was found — smoke-runs the policy-evaluation micro-bench
 # suite so a perf regression that breaks the bench binary (or tanks it
 # outright) fails CI rather than lingering until someone profiles.
@@ -19,7 +20,8 @@ set -eu
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 
-cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+      -DSLEEPSCALE_WERROR=ON
 cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)"
 ctest --test-dir "$build_dir" --output-on-failure -j \
       "$(nproc 2>/dev/null || echo 4)"
@@ -36,11 +38,25 @@ else
 fi
 
 # Scale smoke: the event-driven farm core must stream the 100/1k/10k
-# farm-size ladder in seconds (docs/FARM_SCALE.md). A hang or a
-# throughput collapse here means an O(N) scan crept back into the
-# per-arrival or per-epoch farm path.
-"$build_dir/bench_farm_scale" > "$build_dir/bench_farm_scale_smoke.txt"
-echo "scale smoke OK: $build_dir/bench_farm_scale_smoke.txt"
+# farm-size ladder in seconds, fault-free and under MTBF churn
+# (docs/FARM_SCALE.md). A hang or a throughput collapse here means an
+# O(N) scan crept back into the per-arrival or per-epoch farm path;
+# the gate fails when the faulty 10k row runs more than 2x slower than
+# the fault-free 10k row (routing must stay O(log N) while servers are
+# down).
+scale_json="$build_dir/bench_farm_scale_smoke.json"
+"$build_dir/bench_farm_scale" --json > "$scale_json"
+python3 - "$scale_json" <<'EOF_GATE'
+import json, sys
+rows = json.load(open(sys.argv[1]))["rows"]
+rate = {r["faults"]: r["jobs_per_sec"] for r in rows if r["servers"] == 10000}
+print("scale gate: 10k servers, %.0f jobs/s fault-free, %.0f jobs/s mtbf"
+      % (rate["none"], rate["mtbf"]))
+if rate["mtbf"] * 2 < rate["none"]:
+    sys.exit("scale gate FAILED: the faulty 10k row runs more than 2x "
+             "slower than the fault-free row")
+EOF_GATE
+echo "scale smoke OK: $scale_json"
 
 # Determinism lint: no wall clocks, ambient entropy, machine topology,
 # or hash-iteration-order reductions in src/ (rules and rationale:
