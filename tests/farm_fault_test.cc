@@ -311,17 +311,20 @@ faultRuntimeConfig(std::size_t farm_size, const std::string &control)
     return config;
 }
 
+/** Run the dns workload through a farm, forecasting with the "LC"
+ * predictor unless `predictor` is given. */
 FarmRuntimeResult
 runFaultScenario(const FarmRuntimeConfig &config,
-                 const UtilizationTrace &trace)
+                 const UtilizationTrace &trace,
+                 UtilizationPredictor *predictor = nullptr)
 {
     const PlatformModel platform = platformByName("xeon");
     const WorkloadSpec workload = workloadByName("dns");
     FarmRuntime runtime(platform, workload, config);
     const auto source =
         makeFarmSource(workload, trace, config.farmSize, 1);
-    const auto predictor = makePredictor("LC", 10, trace.values());
-    return runtime.run(*source, trace, *predictor);
+    const auto lc = makePredictor("LC", 10, trace.values());
+    return runtime.run(*source, trace, predictor ? *predictor : *lc);
 }
 
 void
@@ -556,14 +559,16 @@ constexpr TotalsPin totalsPins[] = {
 };
 
 ScenarioSpec
-pinSpec(const std::string &workload, const std::string &control)
+pinSpec(const std::string &workload, const std::string &control,
+        const std::string &strategy = "SS")
 {
-    return ScenarioBuilder(workload + "/" + control)
+    return ScenarioBuilder(workload + "/" + control + "/" + strategy)
         .engine(EngineKind::Farm)
         .workload(workload)
         .flatTrace(0.3, 60)
         .farmSize(3)
         .farmControl(control)
+        .strategy(strategy)
         .epochMinutes(5)
         .seed(1)
         .build();
@@ -621,23 +626,32 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
 {
     // Whole-run totals can mask compensating decision changes; this
     // pin hashes every epoch's (frequency, sleep plan, flags) across
-    // both control modes and all three Table 5 workloads.
+    // all three control modes, the search and controller deciders, and
+    // all three Table 5 workloads.
     const struct
     {
         const char *workload;
         const char *control;
+        const char *strategy;
         std::uint64_t hash;
     } decisionPins[] = {
-        {"dns", "farm-wide", 16696251915500299262ull},
-        {"dns", "per-server", 4471223357707459165ull},
-        {"mail", "farm-wide", 5281247639333244743ull},
-        {"mail", "per-server", 18245108240386715353ull},
-        {"google", "farm-wide", 1303420475129017184ull},
-        {"google", "per-server", 6077832704634492465ull},
+        {"dns", "farm-wide", "SS", 16696251915500299262ull},
+        {"dns", "per-server", "SS", 4471223357707459165ull},
+        {"mail", "farm-wide", "SS", 5281247639333244743ull},
+        {"mail", "per-server", "SS", 18245108240386715353ull},
+        {"google", "farm-wide", "SS", 1303420475129017184ull},
+        {"google", "per-server", "SS", 6077832704634492465ull},
+        {"dns", "farm-wide", "poet", 3906190904782045078ull},
+        {"dns", "per-server", "poet", 12570029525244672124ull},
+        {"mail", "farm-wide", "poet", 14355860263734748752ull},
+        {"mail", "per-server", "poet", 6096002028883048927ull},
+        {"dns", "distributed", "SS", 9664272469862191165ull},
+        {"mail", "distributed", "SS", 16806576239841610947ull},
     };
 
     for (const auto &pin : decisionPins) {
-        const ScenarioSpec spec = pinSpec(pin.workload, pin.control);
+        const ScenarioSpec spec =
+            pinSpec(pin.workload, pin.control, pin.strategy);
         const WorkloadSpec workload = workloadByName(spec.workload);
         const PlatformModel platform = platformByName(spec.platform);
         FarmRuntimeConfig config;
@@ -675,7 +689,7 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
         }
         fnvMix(hash, doubleBits(result.total.energy));
         EXPECT_EQ(hash, pin.hash)
-            << pin.workload << "/" << pin.control;
+            << pin.workload << "/" << pin.control << "/" << pin.strategy;
 
         // A fault-free run reports a clean availability plane.
         EXPECT_EQ(result.faults.dropped, 0u);
@@ -765,62 +779,196 @@ hashFaultStats(std::uint64_t &hash, const FarmFaultStats &stats)
     fnvMix(hash, doubleBits(stats.elapsedSeconds));
 }
 
+/** One faulty-farm pin: a fault family, dispatcher, control mode and
+ * strategy, with the whole-run hash recorded for it. */
+struct FaultyPin
+{
+    const char *faults;
+    const char *dispatcher;
+    const char *control;
+    const char *strategy;
+    double overProvision;
+    std::uint64_t hash;
+};
+
+constexpr FaultyPin faultyPins[] = {
+    {"mtbf", "random", "farm-wide", "SS", 0.0, 8555092131847116493ull},
+    {"mtbf", "random", "per-server", "SS", 0.0, 5871925370731901437ull},
+    {"mtbf", "round-robin", "farm-wide", "SS", 0.0, 5050754618742014413ull},
+    {"mtbf", "round-robin", "per-server", "SS", 0.0, 9342342005562181023ull},
+    {"mtbf", "JSQ", "farm-wide", "SS", 0.0, 11423001267171466894ull},
+    {"mtbf", "JSQ", "per-server", "SS", 0.0, 18120386323070352548ull},
+    {"mtbf", "packing", "farm-wide", "SS", 0.0, 16974298949255359416ull},
+    {"mtbf", "packing", "per-server", "SS", 0.0, 10657770710993521812ull},
+    {"correlated", "random", "farm-wide", "SS", 0.0, 16424182184814574428ull},
+    {"correlated", "random", "per-server", "SS", 0.0, 8819007278570613166ull},
+    {"correlated", "round-robin", "farm-wide", "SS", 0.0,
+     487961192493874709ull},
+    {"correlated", "round-robin", "per-server", "SS", 0.0,
+     11874565757521802134ull},
+    {"correlated", "JSQ", "farm-wide", "SS", 0.0, 16676643857289107956ull},
+    {"correlated", "JSQ", "per-server", "SS", 0.0, 10067399334739515264ull},
+    {"correlated", "packing", "farm-wide", "SS", 0.0,
+     12501583641755423964ull},
+    {"correlated", "packing", "per-server", "SS", 0.0,
+     9324247023980601988ull},
+    // The feedback controller under both decision scopes.
+    {"mtbf", "random", "farm-wide", "poet", 0.0, 7713138797378464954ull},
+    {"mtbf", "random", "per-server", "poet", 0.0, 18039358433026913496ull},
+    {"correlated", "JSQ", "farm-wide", "poet", 0.0, 17690139632648980880ull},
+    {"correlated", "JSQ", "per-server", "poet", 0.0, 18184189639673076824ull},
+    // Zero-communication rate scaling.
+    {"mtbf", "random", "distributed", "SS", 0.0, 4571317882463658736ull},
+    {"correlated", "JSQ", "distributed", "SS", 0.0, 10168939575139649053ull},
+    // Over-provisioning boosts interleaved with degraded epochs.
+    {"mtbf", "random", "farm-wide", "SS", 0.35, 8438106573352255381ull},
+    {"mtbf", "random", "per-server", "SS", 0.35, 9239702439033199598ull},
+    {"mtbf", "random", "farm-wide", "poet", 0.35, 17791905599001848392ull},
+    {"mtbf", "random", "distributed", "SS", 0.35, 8981458450637710180ull},
+    // A 100 s full-farm outage: arrivals park in the retry queue.
+    {"scripted", "random", "farm-wide", "poet", 0.0, 11499131248167813808ull},
+    {"scripted", "random", "per-server", "poet", 0.0, 3067776317142296076ull},
+};
+
+FarmRuntimeConfig
+faultyPinConfig(const FaultyPin &pin)
+{
+    FarmRuntimeConfig config = faultRuntimeConfig(4, pin.control);
+    StrategyKnobs knobs;
+    knobs.epochMinutes = config.perServer.epochMinutes;
+    knobs.overProvision = pin.overProvision;
+    config.perServer = strategyConfigByName(pin.strategy, knobs);
+    config.dispatcher = recordingDispatcher(pin.dispatcher);
+    config.faults = pin.faults;
+    config.mtbf = 900.0;
+    config.mttr = 120.0;
+    config.recoverySeconds = 15.0;
+    config.retryBackoff = 0.5;
+    config.dropTimeout = 240.0;
+    if (config.faults == "scripted") {
+        // The outage of FullOutageRetriesWithoutLosingJobs, farm-wide.
+        for (bool down : {true, false}) {
+            for (std::size_t i = 0; i < config.farmSize; ++i)
+                config.faultScript.push_back(
+                    {down ? 600.0 : 700.0, i, down});
+        }
+    }
+    return config;
+}
+
+/** Hashes of one faulty run: the whole-run pin and its components. */
+struct FaultyRunHashes
+{
+    std::uint64_t whole = 0;     ///< Everything below, chained.
+    std::uint64_t routes = 0;    ///< Every routing choice.
+    std::uint64_t decisions = 0; ///< The farm-level decision stream.
+    std::uint64_t energy = 0;    ///< Per-server and farm energy.
+    std::uint64_t faults = 0;    ///< Per-epoch and final fault counters.
+};
+
+FaultyRunHashes
+hashFaultyRun(const FarmRuntimeConfig &config,
+              UtilizationPredictor *predictor = nullptr)
+{
+    const UtilizationTrace trace("flat", std::vector<double>(60, 0.4));
+    recordedRoutes = 1469598103934665603ull;
+    const FarmRuntimeResult result =
+        runFaultScenario(config, trace, predictor);
+    expectConservation(result);
+    EXPECT_GT(result.faults.downSeconds, 0.0);
+
+    FaultyRunHashes hashes;
+    hashes.routes = recordedRoutes;
+    hashes.decisions = 1469598103934665603ull;
+    hashEpochStream(hashes.decisions, result.epochs);
+    hashes.energy = 1469598103934665603ull;
+    hashes.faults = 1469598103934665603ull;
+
+    std::uint64_t &hash = hashes.whole;
+    hash = recordedRoutes;
+    hashEpochStream(hash, result.epochs);
+    for (const FarmServerReport &server : result.servers) {
+        hashEpochStream(hash, server.epochs);
+        fnvMix(hash, doubleBits(server.total.energy));
+        fnvMix(hash, server.jobsRouted);
+        fnvMix(hashes.energy, doubleBits(server.total.energy));
+    }
+    for (const FarmFaultStats &stats : result.epochFaults) {
+        hashFaultStats(hash, stats);
+        hashFaultStats(hashes.faults, stats);
+    }
+    hashFaultStats(hash, result.faults);
+    hashFaultStats(hashes.faults, result.faults);
+    fnvMix(hash, doubleBits(result.total.energy));
+    fnvMix(hashes.energy, doubleBits(result.total.energy));
+    return hashes;
+}
+
+std::string
+pinName(const FaultyPin &pin)
+{
+    return std::string(pin.faults) + "/" + pin.dispatcher + "/" +
+           pin.control + "/" + pin.strategy + "/a=" +
+           std::to_string(pin.overProvision);
+}
+
 TEST(FaultyFarmPin, RuntimeRoutingDecisionsAndCountersBitForBit)
 {
+    for (const FaultyPin &pin : faultyPins) {
+        EXPECT_EQ(hashFaultyRun(faultyPinConfig(pin)).whole, pin.hash)
+            << pinName(pin);
+    }
+}
+
+TEST(FaultyFarmPin, ControllersSteerOnTheirMeasuredLoad)
+{
+    // The poet controller plans on max(forecast, filtered measured
+    // load). Under a zero forecast it plans on the measured load alone,
+    // so these pins see the demand each slot measures: the farm's
+    // offered demand, parked jobs included, for the shared slot, and
+    // the routed demand for a per-server one.
     const struct
     {
         const char *faults;
-        const char *dispatcher;
         const char *control;
         std::uint64_t hash;
     } pins[] = {
-        {"mtbf", "random", "farm-wide", 8555092131847116493ull},
-        {"mtbf", "random", "per-server", 5871925370731901437ull},
-        {"mtbf", "round-robin", "farm-wide", 5050754618742014413ull},
-        {"mtbf", "round-robin", "per-server", 9342342005562181023ull},
-        {"mtbf", "JSQ", "farm-wide", 11423001267171466894ull},
-        {"mtbf", "JSQ", "per-server", 18120386323070352548ull},
-        {"mtbf", "packing", "farm-wide", 16974298949255359416ull},
-        {"mtbf", "packing", "per-server", 10657770710993521812ull},
-        {"correlated", "random", "farm-wide", 16424182184814574428ull},
-        {"correlated", "random", "per-server", 8819007278570613166ull},
-        {"correlated", "round-robin", "farm-wide", 487961192493874709ull},
-        {"correlated", "round-robin", "per-server", 11874565757521802134ull},
-        {"correlated", "JSQ", "farm-wide", 16676643857289107956ull},
-        {"correlated", "JSQ", "per-server", 10067399334739515264ull},
-        {"correlated", "packing", "farm-wide", 12501583641755423964ull},
-        {"correlated", "packing", "per-server", 9324247023980601988ull},
+        {"scripted", "farm-wide", 13818377102018325968ull},
+        {"scripted", "per-server", 12082893876025372340ull},
+        {"mtbf", "farm-wide", 7713138797378464954ull},
+        {"mtbf", "per-server", 15419404576607821171ull},
     };
-
-    const UtilizationTrace trace("flat", std::vector<double>(60, 0.4));
     for (const auto &pin : pins) {
-        FarmRuntimeConfig config = faultRuntimeConfig(4, pin.control);
-        config.dispatcher = recordingDispatcher(pin.dispatcher);
-        config.faults = pin.faults;
-        config.mtbf = 900.0;
-        config.mttr = 120.0;
-        config.recoverySeconds = 15.0;
-        config.retryBackoff = 0.5;
-        config.dropTimeout = 240.0;
+        const FaultyPin row{pin.faults, "random", pin.control, "poet", 0.0,
+                            0};
+        OfflinePredictor zero_forecast(std::vector<double>(60, 0.0));
+        EXPECT_EQ(hashFaultyRun(faultyPinConfig(row), &zero_forecast).whole,
+                  pin.hash)
+            << pinName(row);
+    }
+}
 
-        recordedRoutes = 1469598103934665603ull;
-        const FarmRuntimeResult result = runFaultScenario(config, trace);
-        expectConservation(result);
-        EXPECT_GT(result.faults.downSeconds, 0.0);
+TEST(FaultyFarmPin, OutputKnobsDoNotPerturbTheRun)
+{
+    // Decision timing and per-server epoch reports are outputs only:
+    // turning them on or off must not move a single routing choice,
+    // decision, joule or fault counter.
+    for (const FaultyPin &pin : faultyPins) {
+        FarmRuntimeConfig config = faultyPinConfig(pin);
+        config.perServer.recordDecisionTime = true;
+        const FaultyRunHashes timed = hashFaultyRun(config);
+        EXPECT_EQ(timed.whole, pin.hash) << pinName(pin);
 
-        std::uint64_t hash = recordedRoutes;
-        hashEpochStream(hash, result.epochs);
-        for (const FarmServerReport &server : result.servers) {
-            hashEpochStream(hash, server.epochs);
-            fnvMix(hash, doubleBits(server.total.energy));
-            fnvMix(hash, server.jobsRouted);
-        }
-        for (const FarmFaultStats &stats : result.epochFaults)
-            hashFaultStats(hash, stats);
-        hashFaultStats(hash, result.faults);
-        fnvMix(hash, doubleBits(result.total.energy));
-        EXPECT_EQ(hash, pin.hash) << pin.faults << "/" << pin.dispatcher
-                                  << "/" << pin.control;
+        // Without per-server reports the whole-run hash loses the
+        // per-server decision streams; every other component stays.
+        if (std::string(pin.control) == "farm-wide")
+            continue;
+        config.serverEpochReports = false;
+        const FaultyRunHashes lean = hashFaultyRun(config);
+        EXPECT_EQ(lean.routes, timed.routes) << pinName(pin);
+        EXPECT_EQ(lean.decisions, timed.decisions) << pinName(pin);
+        EXPECT_EQ(lean.energy, timed.energy) << pinName(pin);
+        EXPECT_EQ(lean.faults, timed.faults) << pinName(pin);
     }
 }
 
