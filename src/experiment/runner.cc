@@ -270,9 +270,9 @@ runFarm(const ScenarioSpec &spec)
                                run.faults.degradedSeconds);
     result.extras.emplace_back("down_s", run.faults.downSeconds);
     addResidencyExtras(result, run.total);
-    // Under per-server control the merged epochs carry server 0's
-    // decisionMicros, which times the whole decision fan-out — the
-    // farm-scale decision cost, not one server's.
+    // The merged epochs carry slot 0's decisionMicros, which times the
+    // whole decision fan-out — under per-server control the farm-scale
+    // decision cost, not one server's.
     if (spec.recordDecisionTime)
         addDecisionExtras(result, run.epochs);
     result.jobsPerServer = run.jobsPerServer;

@@ -74,7 +74,7 @@ class FaultDriver
     bool active() const { return _active; }
 
     /** Called with (job, server) for every admission that happens
-     * inside the retry queue, so run loops can keep their decision
+     * inside the retry queue, so the run loop can keep its decision
      * logs complete. */
     void setAdmitHook(std::function<void(const Job &, std::size_t)> hook)
     {
@@ -294,6 +294,42 @@ applyOverProvision(Policy &policy, double alpha, bool last_within)
     return true;
 }
 
+/**
+ * One decider's share of the epoch loop. Farm-wide control runs one
+ * slot over every server; per-server and distributed control run one
+ * slot per server. Slot s logs the jobs admitted to server s.
+ */
+struct DecisionSlot
+{
+    /** Rolling log of the log server's jobs (log-based deciders). */
+    std::vector<Job> history;
+
+    /** Outage starvation: jobs ever logged (a trimmed log must not
+     * read as "no new jobs"), their count and the log server's
+     * downtime at the last decision, and the verdict for this one. */
+    std::uint64_t logged = 0;
+    std::uint64_t loggedMark = 0;
+    double downMark = 0.0;
+    bool starved = false;
+
+    /** Scalar observations of the closed epoch (log-free deciders),
+     * built from the demand and job count measured over it. */
+    EpochObservation observation;
+    double demand = 0.0;
+    std::uint64_t jobs = 0;
+
+    /** The policy in force. */
+    Policy current;
+
+    /** This epoch's report; its stats hold the slot's closed window
+     * until the next decision resets the report. */
+    EpochReport report;
+
+    /** The fan-out's result for this epoch. */
+    GuardedDecision decision;
+    bool decided = false;
+};
+
 } // namespace
 
 double
@@ -440,10 +476,9 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
                                        : &_resolvedPlatforms[i]);
 
     if (!_config.perServer.fixedPolicy) {
-        // Either decision path plugs in per slot: the search manager
-        // (with its eval engine) or the O(1) feedback controller —
-        // per-server control gets one autonomous decider per back-end
-        // in both cases.
+        // One persistent decider per decision slot: the search manager
+        // (with its eval engine), the O(1) feedback controller, or the
+        // distributed rate scaler.
         const auto make_decider =
             [this](const PlatformModel &server_platform)
             -> std::unique_ptr<EpochDecider> {
@@ -466,34 +501,24 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
                     *_config.perServer.controller,
                     _config.perServer.initialPolicy);
             }
-            auto manager = std::make_unique<PolicyManager>(
-                server_platform, _spec.scaling,
-                _config.perServer.space, _qos,
-                _config.perServer.search);
-            _searchManagers.push_back(manager.get());
-            return manager;
+            return std::make_unique<PolicyManager>(
+                server_platform, _spec.scaling, _config.perServer.space,
+                _qos, _config.perServer.search);
         };
-        if (perServerControl()) {
-            _managers.reserve(_config.farmSize);
-            for (std::size_t i = 0; i < _config.farmSize; ++i)
-                _managers.push_back(
-                    make_decider(*_serverPlatforms[i]));
-        } else {
-            _manager = make_decider(*_serverPlatforms.front());
-            if (!_searchManagers.empty()) {
-                _searchManager = _searchManagers.front();
-                _searchManagers.clear();
-            }
-        }
+        const std::size_t slots =
+            perServerControl() ? _config.farmSize : 1;
+        _deciders.reserve(slots);
+        for (std::size_t i = 0; i < slots; ++i)
+            _deciders.push_back(make_decider(*_serverPlatforms[i]));
     }
 }
 
 bool
 FarmRuntime::perServerControl() const
 {
-    // "distributed" rides the per-server loop: autonomous deciders
-    // fed by local observations, one per back-end. The difference is
-    // the decision rule, not the control topology.
+    // "distributed" has per-server slots too: autonomous deciders fed
+    // by local observations, one per back-end. The difference is the
+    // decision rule, not the control topology.
     return _config.control == "per-server" ||
            _config.control == "distributed";
 }
@@ -501,25 +526,26 @@ FarmRuntime::perServerControl() const
 const PolicyManager &
 FarmRuntime::serverManager(std::size_t server) const
 {
-    fatalIf(_searchManagers.empty(),
+    fatalIf(!perServerControl() || _deciders.empty() ||
+                !dynamic_cast<const PolicyManager *>(
+                    _deciders.front().get()),
             "FarmRuntime::serverManager: no per-server search "
             "managers (needs control = \"per-server\", no fixed "
             "policy, and a search strategy — controller runs expose "
             "serverDecider() instead)");
-    fatalIf(server >= _searchManagers.size(),
-            "FarmRuntime::serverManager: server index out of range");
-    return *_searchManagers[server];
+    return static_cast<const PolicyManager &>(serverDecider(server));
 }
 
 const EpochDecider &
 FarmRuntime::serverDecider(std::size_t server) const
 {
-    fatalIf(_managers.empty(),
+    fatalIf(!perServerControl() || _deciders.empty(),
             "FarmRuntime::serverDecider: no per-server deciders (needs "
-            "control = \"per-server\" and no fixed policy)");
-    fatalIf(server >= _managers.size(),
+            "control = \"per-server\" or \"distributed\" and no fixed "
+            "policy)");
+    fatalIf(server >= _deciders.size(),
             "FarmRuntime::serverDecider: server index out of range");
-    return *_managers[server];
+    return *_deciders[server];
 }
 
 const PlatformModel &
@@ -544,17 +570,21 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                  UtilizationPredictor &predictor) const
 {
     fatalIf(trace.empty(), "FarmRuntime::run: empty trace");
-    return perServerControl() ? runPerServer(source, trace, predictor)
-                              : runFarmWide(source, trace, predictor);
-}
-
-FarmRuntimeResult
-FarmRuntime::runFarmWide(JobSource &source, const UtilizationTrace &trace,
-                         UtilizationPredictor &predictor) const
-{
     const std::size_t minutes = trace.size();
     const unsigned epoch_len = _config.perServer.epochMinutes;
-    const double farm_size = static_cast<double>(_config.farmSize);
+    const std::size_t size = _config.farmSize;
+    const double farm_size = static_cast<double>(size);
+    const double window_seconds =
+        static_cast<double>(epoch_len) * secondsPerMinute;
+    const bool fixed =
+        static_cast<bool>(_config.perServer.fixedPolicy);
+
+    // Farm-wide control is one shared decision slot over every server,
+    // fed from server 0's log; per-server and distributed control give
+    // each server a slot of its own. Slot s logs server s's jobs.
+    const bool shared = !perServerControl();
+    const std::size_t slot_count = shared ? 1 : size;
+    const std::uint64_t members = shared ? size : 1;
 
     ServerFarm farm(_serverPlatforms, _spec.scaling,
                     _config.perServer.initialPolicy,
@@ -565,16 +595,15 @@ FarmRuntime::runFarmWide(JobSource &source, const UtilizationTrace &trace,
     FarmRuntimeResult result;
     result.qos = _qos;
     result.control = _config.control;
-    result.servers.resize(_config.farmSize);
-    for (std::size_t i = 0; i < _config.farmSize; ++i) {
+    result.servers.resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
         result.servers[i].server = i;
         result.servers[i].platform = _serverPlatforms[i]->name();
     }
 
     farm.setRecoverySeconds(_config.recoverySeconds);
     farm.setRecordTail(_config.tailHistograms);
-    const std::size_t shard_lanes =
-        resolveShards(_config.shards, _config.farmSize);
+    const std::size_t shard_lanes = resolveShards(_config.shards, size);
     std::unique_ptr<ThreadPool> shard_pool;
     if (shard_lanes > 1) {
         shard_pool = std::make_unique<ThreadPool>(shard_lanes);
@@ -582,61 +611,80 @@ FarmRuntime::runFarmWide(JobSource &source, const UtilizationTrace &trace,
     }
     FaultDriver faults(farm, _config);
 
-    // One-job lookahead; the only job buffer kept across the run is
-    // the thinned decision log below, capped at evalLogCap.
-    Job pending;
-    bool has_pending = source.next(pending);
-    std::vector<Job> history;     // Thinned to one server's view.
-    bool last_epoch_within_budget = false;
-    Policy current = _config.perServer.initialPolicy;
-
-    // The O(1) controller decides from scalar epoch observations and
-    // never reads the log, so controller runs skip log collection
-    // entirely (needs_log false).
-    const bool needs_log =
-        !_config.perServer.fixedPolicy && _manager->needsLog();
+    // Only log-based deciders pay for job logs (needs_log) and only
+    // the log-free ones (the O(1) controller, the rate scaler) pay for
+    // the scalar observations (track_observations). Fixed-policy runs
+    // never decide, so the stream passes through in O(1) job memory.
+    const bool needs_log = !fixed && _deciders.front()->needsLog();
+    const bool track_observations = !fixed && !needs_log;
     const bool record_decisions = _config.perServer.recordDecisionTime;
-    EpochObservation observation;
-    double epoch_demand = 0.0;
-    std::uint64_t epoch_job_count = 0;
 
-    // Degraded-mode accounting (server-epochs / server-seconds; one
-    // farm-wide fallback decision degrades every server). `logged`
-    // counts appends to the rolling history so starvation detection
-    // can tell "no new jobs this epoch" apart from a trimmed log.
+    std::vector<DecisionSlot> slots(slot_count);
+    for (DecisionSlot &slot : slots) {
+        slot.current = _config.perServer.initialPolicy;
+        slot.report.policy = slot.current;
+    }
+
+    // Each slot logs exactly the jobs admitted to its log server: a
+    // per-server slot its own local view, the shared slot server 0's,
+    // the literal arrival process of a representative back-end (a
+    // deterministic every-Nth pick would smooth the gaps toward Erlang
+    // shape and bias the decision optimistic). Failover re-admissions
+    // join at their re-dispatch time, like any other routed job.
+    const auto log_admission = [&](const Job &job, std::size_t server) {
+        if (fixed || (shared && server != 0))
+            return;
+        DecisionSlot &slot = slots[server];
+        if (needs_log)
+            slot.history.push_back(job);
+        ++slot.logged;
+        // The shared slot measures offered demand instead (below).
+        if (track_observations && !shared) {
+            slot.demand += job.size;
+            ++slot.jobs;
+        }
+    };
+    faults.setAdmitHook(log_admission);
+
+    // The decision pool lives for one run, not the runtime's lifetime:
+    // idle FarmRuntimes (e.g. queued behind an ExperimentRunner sweep)
+    // then hold no worker threads. One slot gets a one-lane pool, which
+    // spawns no thread.
+    std::unique_ptr<ThreadPool> decision_pool;
+    if (!fixed) {
+        const std::size_t lanes =
+            _config.decisionThreads == 0
+                ? std::min(slot_count, ThreadPool::hardwareLanes())
+                : std::min(_config.decisionThreads, slot_count);
+        decision_pool = std::make_unique<ThreadPool>(lanes);
+    }
+
     std::uint64_t cum_completed = 0;
     std::uint64_t degraded_epochs = 0;
     double degraded_seconds = 0.0;
-    double down0_mark = 0.0;
-    std::uint64_t logged = 0;
-    std::uint64_t logged_mark = 0;
 
-    // Jobs re-admitted by the failover queue join the decision log
-    // exactly as first-try admissions do (at their re-dispatch time,
-    // which is their arrival from the admitting server's view).
-    faults.setAdmitHook([&](const Job &job, std::size_t server) {
-        if (!_config.perServer.fixedPolicy && server == 0) {
-            if (needs_log)
-                history.push_back(job);
-            ++logged;
-        }
-    });
-
-    EpochReport epoch;
-    epoch.policy = current;
-
-    // Close the current epoch: attribute per-server windows, merge the
-    // farm view, remember whether the farm met its budget, and
+    // Close the epoch: attribute per-server windows, give each slot's
+    // report its window (the farm-merged one for the shared slot), push
+    // the farm view (slot 0's report over the merged window) and
     // snapshot the cumulative availability-plane counters.
     auto closeEpoch = [&](const std::vector<SimStats> &windows,
                           double now) {
-        for (std::size_t i = 0; i < windows.size(); ++i)
+        for (std::size_t i = 0; i < size; ++i)
             result.servers[i].total.merge(windows[i]);
-        epoch.stats = ServerFarm::mergeWindows(windows);
-        last_epoch_within_budget = windowWithinBudget(_qos, epoch.stats);
-        result.epochs.push_back(epoch);
+        EpochReport merged = slots.front().report;
+        merged.stats = ServerFarm::mergeWindows(windows);
+        for (std::size_t s = 0; s < slot_count; ++s) {
+            DecisionSlot &slot = slots[s];
+            slot.report.stats = shared ? merged.stats : windows[s];
+            merged.degraded = merged.degraded || slot.report.degraded;
+            // Per-server epoch streams are O(farm x epochs) memory;
+            // scale runs keep only the running totals.
+            if (!shared && _config.serverEpochReports)
+                result.servers[s].epochs.push_back(slot.report);
+        }
+        result.epochs.push_back(merged);
 
-        cum_completed += epoch.stats.completions;
+        cum_completed += merged.stats.completions;
         FarmFaultStats snap = faults.stats();
         snap.completed = cum_completed;
         snap.inFlight =
@@ -648,179 +696,173 @@ FarmRuntime::runFarmWide(JobSource &source, const UtilizationTrace &trace,
         result.epochFaults.push_back(snap);
     };
 
+    Job pending;
+    bool has_pending = source.next(pending);
+
     for (std::size_t minute = 0; minute < minutes; ++minute) {
         const double t = static_cast<double>(minute) * secondsPerMinute;
 
         if (minute % epoch_len == 0) {
             farm.advanceTo(t);
 
-            if (minute > 0) {
+            if (minute > 0)
                 closeEpoch(farm.harvestWindows(), t);
 
-                // Scalar observations of the closed epoch for the
-                // log-free decision path (core/epoch_decider.hh):
-                // per-server offered load and the farm-merged QoS
-                // statistic, captured before the report resets.
-                observation.measuredUtilization =
-                    epoch_demand / (static_cast<double>(epoch_len) *
-                                    secondsPerMinute * farm_size);
-                observation.hasMeasurement =
-                    epoch.stats.completions > 0;
-                observation.measuredQos =
-                    observation.hasMeasurement
-                        ? _qos.measuredValue(epoch.stats)
-                        : 0.0;
-                observation.meanJobSize =
-                    epoch_job_count > 0
-                        ? epoch_demand /
-                              static_cast<double>(epoch_job_count)
-                        : 0.0;
-                observation.applied = current;
-                epoch_demand = 0.0;
-                epoch_job_count = 0;
-            }
-
-            epoch = EpochReport{};
-            epoch.index = result.epochs.size();
-            epoch.startTime = t;
-
+            const std::size_t epoch_index = result.epochs.size();
             const double predicted =
                 std::clamp(predictor.predict(minute), 0.0, 1.0);
-            epoch.predictedUtilization = predicted;
-            observation.predictedUtilization = predicted;
+            const bool faults_active = faults.active();
 
-            // Did the logged server (server 0) lose time to an outage
-            // since the last decision *and* log no new jobs? Such an
-            // epoch log is fault-starved — the rolling history only
-            // holds pre-outage jobs — and searching it would dress
-            // stale data as a fresh decision, so it triggers the
-            // degraded fallback instead. A log that is merely still
-            // warming up (no downtime accrued) keeps the status-quo
-            // policy, exactly as a fault-free run would.
-            bool outage_starved = false;
-            if (faults.active()) {
-                const double down0 = farm.downSeconds(0);
-                outage_starved =
-                    down0 > down0_mark && logged == logged_mark;
-                down0_mark = down0;
-                logged_mark = logged;
+            for (std::size_t s = 0; s < slot_count; ++s) {
+                DecisionSlot &slot = slots[s];
+                // Outage starvation: downtime accrued on the log server
+                // since the slot's previous decision with no new jobs
+                // logged. The rolling history then only holds
+                // pre-outage jobs, which must not be dressed up as a
+                // fresh decision, so the guarded path degrades (a log
+                // merely warming up, with no downtime, does not).
+                if (faults_active) {
+                    const double down = farm.downSeconds(s);
+                    slot.starved = down > slot.downMark &&
+                                   slot.logged == slot.loggedMark;
+                    slot.downMark = down;
+                    slot.loggedMark = slot.logged;
+                }
+                // Scalar observations of the just-closed epoch for the
+                // log-free deciders (core/epoch_decider.hh).
+                if (track_observations) {
+                    EpochObservation &obs = slot.observation;
+                    const SimStats &window = slot.report.stats;
+                    obs.predictedUtilization = predicted;
+                    obs.measuredUtilization =
+                        minute > 0
+                            ? slot.demand /
+                                  (window_seconds *
+                                   static_cast<double>(members))
+                            : 0.0;
+                    obs.hasMeasurement =
+                        minute > 0 && window.completions > 0;
+                    obs.measuredQos = obs.hasMeasurement
+                                          ? _qos.measuredValue(window)
+                                          : 0.0;
+                    obs.meanJobSize =
+                        slot.jobs > 0 ? slot.demand /
+                                            static_cast<double>(slot.jobs)
+                                      : 0.0;
+                    obs.faultStarved = faults_active && slot.starved;
+                    obs.applied = slot.current;
+                    slot.demand = 0.0;
+                    slot.jobs = 0;
+                }
             }
 
-            observation.faultStarved = outage_starved;
+            // Fan the slot decisions out across the pool. Each lane
+            // touches only its own slot's history, observation and
+            // decider; results land by slot index and are applied in
+            // index order below, so any pool width is bit-identical to
+            // serial.
+            double fanout_micros = 0.0;
+            if (!fixed) {
+                const double fanout_start =
+                    record_decisions ? monotonicMicros() : 0.0;
+                decision_pool->parallelFor(
+                    slot_count, [&](std::size_t s, std::size_t) {
+                        DecisionSlot &slot = slots[s];
+                        slot.decided = false;
+                        const bool starved = faults_active && slot.starved;
+                        // Rescale the log to the predicted per-server
+                        // load (shape-preserving gap scaling, as in the
+                        // single-server runtime's buildEvalLog).
+                        std::vector<Job> log;
+                        if (needs_log && !starved)
+                            log = rescaleHistoryToPrediction(
+                                slot.history, predicted);
+                        // A log-based decider waits for a log it can
+                        // characterize (or a starved window to degrade
+                        // on); a log-free one for a closed epoch.
+                        if (needs_log ? log.empty() && !starved
+                                      : minute == 0)
+                            return;
+                        if (faults_active) {
+                            // Guarded path (docs/FAULTS.md): starved or
+                            // infeasible lands on the safe fixed policy
+                            // for every server of this slot.
+                            slot.decision = _deciders[s]->decideGuarded(
+                                slot.observation, log,
+                                _config.degradedPolicy);
+                        } else {
+                            slot.decision.decision = _deciders[s]->decide(
+                                slot.observation, log);
+                        }
+                        slot.decided = true;
+                    });
+                if (record_decisions)
+                    fanout_micros = monotonicMicros() - fanout_start;
+            }
 
-            if (_config.perServer.fixedPolicy) {
-                current = *_config.perServer.fixedPolicy;
-                epoch.decided = true;
-                epoch.feasible = true;
-            } else if (faults.active()) {
-                // Guarded decision path (docs/FAULTS.md): decide as
-                // usual, but fall back to the safe fixed policy when
-                // the measurement window was starved by an outage or
-                // the decision is infeasible. One farm-wide fallback
-                // degrades every server for the epoch.
-                std::vector<Job> log;
-                bool ready = false;
-                if (needs_log) {
-                    if (!outage_starved)
-                        log = rescaleHistoryToPrediction(history,
-                                                         predicted);
-                    ready = !log.empty() || outage_starved;
-                } else {
-                    ready = minute > 0;
-                }
-                if (ready) {
-                    const double decide_start =
-                        record_decisions ? monotonicMicros() : 0.0;
-                    const GuardedDecision guarded =
-                        _manager->decideGuarded(
-                            observation, log, _config.degradedPolicy);
-                    if (record_decisions)
-                        epoch.decisionMicros =
-                            monotonicMicros() - decide_start;
-                    current = guarded.decision.policy;
-                    epoch.feasible = guarded.decision.feasible;
+            for (std::size_t s = 0; s < slot_count; ++s) {
+                DecisionSlot &slot = slots[s];
+                EpochReport &epoch = slot.report;
+                // Whether the closed window met the budget arms the
+                // over-provisioning boost (an empty window does not).
+                const bool last_within =
+                    windowWithinBudget(_qos, epoch.stats);
+                epoch = EpochReport{};
+                epoch.index = epoch_index;
+                epoch.startTime = t;
+                epoch.predictedUtilization = predicted;
+                // The representative report (the farm view copies slot
+                // 0's fields) carries the whole fan-out's wall time:
+                // the farm's per-epoch decision cost.
+                if (s == 0)
+                    epoch.decisionMicros = fanout_micros;
+                if (fixed) {
+                    slot.current = *_config.perServer.fixedPolicy;
                     epoch.decided = true;
-                    epoch.degraded = guarded.degraded;
-                    if (guarded.degraded) {
-                        degraded_epochs += _config.farmSize;
-                        degraded_seconds += static_cast<double>(
-                                                epoch_len) *
-                                            secondsPerMinute *
-                                            farm_size;
+                    epoch.feasible = true;
+                } else if (slot.decided) {
+                    slot.current = slot.decision.decision.policy;
+                    epoch.feasible = slot.decision.decision.feasible;
+                    epoch.decided = true;
+                    epoch.degraded = slot.decision.degraded;
+                    if (epoch.degraded) {
+                        degraded_epochs += members;
+                        degraded_seconds +=
+                            window_seconds * static_cast<double>(members);
                     } else {
                         epoch.boosted = applyOverProvision(
-                            current, _config.perServer.overProvision,
-                            last_epoch_within_budget);
+                            slot.current, _config.perServer.overProvision,
+                            last_within);
                     }
                 }
                 if (needs_log)
-                    trimHistory(history, _config.perServer.evalLogCap);
-            } else {
-                // Rescale the thinned log to the predicted per-server
-                // load (shape-preserving gap scaling, as in the
-                // single-server runtime's buildEvalLog; the farm keeps
-                // one rolling history rather than per-epoch buckets).
-                // The controller path needs no log — only a closed
-                // epoch to have observed.
-                std::vector<Job> log;
-                bool ready = false;
-                if (needs_log) {
-                    if (history.size() >= 2) {
-                        log = rescaleHistoryToPrediction(history,
-                                                         predicted);
-                        ready = !log.empty();
-                    }
-                } else {
-                    ready = minute > 0;
-                }
-                if (ready) {
-                    const double decide_start =
-                        record_decisions ? monotonicMicros() : 0.0;
-                    const PolicyDecision decision =
-                        _manager->decide(observation, log);
-                    if (record_decisions)
-                        epoch.decisionMicros =
-                            monotonicMicros() - decide_start;
-                    current = decision.policy;
-                    epoch.feasible = decision.feasible;
-                    epoch.decided = true;
-                    epoch.boosted = applyOverProvision(
-                        current, _config.perServer.overProvision,
-                        last_epoch_within_budget);
-                }
-                // Bound the rolling log.
-                if (needs_log)
-                    trimHistory(history, _config.perServer.evalLogCap);
+                    trimHistory(slot.history, _config.perServer.evalLogCap);
+                epoch.policy = slot.current;
             }
-
-            epoch.policy = current;
-            farm.setPolicy(current, t);
+            for (std::size_t i = 0; i < size; ++i)
+                farm.setPolicy(i, slots[shared ? 0 : i].current, t);
         }
 
         const double minute_end = t + secondsPerMinute;
         double minute_demand = 0.0;
+        std::uint64_t minute_jobs = 0;
         while (has_pending && pending.arrival < minute_end) {
             faults.catchUp(pending.arrival);
             const std::size_t routed = faults.offer(pending);
             minute_demand += pending.size;
-            // Thin the aggregate stream down to one server's view by
-            // logging exactly the jobs the dispatcher routed to server
-            // 0 — the literal arrival process of a representative
-            // back-end (a deterministic every-Nth pick would smooth
-            // the gaps toward Erlang shape and bias the decision
-            // optimistic). Per-server control generalizes this log to
-            // every server. Fixed-policy runs never decide, so they
-            // keep no log at all — the stream passes through in O(1)
-            // job memory.
-            if (!_config.perServer.fixedPolicy && routed == 0) {
-                if (needs_log)
-                    history.push_back(pending);
-                ++logged;
-            }
-            ++epoch_job_count;
+            ++minute_jobs;
+            // A job that finds every server down parks in the failover
+            // queue; it joins a log via the admit hook if a retry lands.
+            if (routed != ServerFarm::noServer)
+                log_admission(pending, routed);
             has_pending = source.next(pending);
         }
-        epoch_demand += minute_demand;
+        // The shared slot measures the farm's offered demand, parked
+        // jobs included, summed per minute.
+        if (shared && track_observations) {
+            slots.front().demand += minute_demand;
+            slots.front().jobs += minute_jobs;
+        }
         faults.catchUp(minute_end);
         farm.advanceTo(minute_end);
 
@@ -842,370 +884,11 @@ FarmRuntime::runFarmWide(JobSource &source, const UtilizationTrace &trace,
         result.total.merge(report.stats);
     result.faults = result.epochFaults.back();
     result.jobsPerServer = farm.jobsPerServer();
-    for (std::size_t i = 0; i < _config.farmSize; ++i) {
+    for (std::size_t i = 0; i < size; ++i) {
         result.servers[i].jobsRouted = result.jobsPerServer[i];
         // A server that completed nothing has no response statistic to
         // meet the budget with — report it as not-within rather than
         // vacuously compliant.
-        result.servers[i].withinBudget =
-            windowWithinBudget(_qos, result.servers[i].total);
-    }
-    return result;
-}
-
-FarmRuntimeResult
-FarmRuntime::runPerServer(JobSource &source,
-                          const UtilizationTrace &trace,
-                          UtilizationPredictor &predictor) const
-{
-    const std::size_t minutes = trace.size();
-    const unsigned epoch_len = _config.perServer.epochMinutes;
-    const std::size_t size = _config.farmSize;
-    const double farm_size = static_cast<double>(size);
-    const bool fixed =
-        static_cast<bool>(_config.perServer.fixedPolicy);
-
-    ServerFarm farm(_serverPlatforms, _spec.scaling,
-                    _config.perServer.initialPolicy,
-                    makeDispatcher(_config.dispatcher,
-                                   _config.dispatchSeed,
-                                   _config.packingSpillBacklog));
-
-    FarmRuntimeResult result;
-    result.qos = _qos;
-    result.control = _config.control;
-    result.servers.resize(size);
-    for (std::size_t i = 0; i < size; ++i) {
-        result.servers[i].server = i;
-        result.servers[i].platform = _serverPlatforms[i]->name();
-    }
-
-    farm.setRecoverySeconds(_config.recoverySeconds);
-    farm.setRecordTail(_config.tailHistograms);
-    const std::size_t shard_lanes =
-        resolveShards(_config.shards, _config.farmSize);
-    std::unique_ptr<ThreadPool> shard_pool;
-    if (shard_lanes > 1) {
-        shard_pool = std::make_unique<ThreadPool>(shard_lanes);
-        farm.setShardPool(shard_pool.get());
-    }
-    FaultDriver faults(farm, _config);
-
-    // The O(1) controller path decides from per-server scalar
-    // observations; only log-based deciders pay for per-server job
-    // logs (needs_log) and only controllers pay for the per-server
-    // demand accumulators (track_observations).
-    const bool needs_log = !fixed && _managers.front()->needsLog();
-    const bool track_observations = !fixed && !needs_log;
-    const bool record_decisions = _config.perServer.recordDecisionTime;
-    std::vector<EpochObservation> observations(size);
-    std::vector<double> epoch_demand(size, 0.0);
-    std::vector<std::uint64_t> epoch_job_count(size, 0);
-
-    // Per-server rolling logs of the jobs the dispatcher actually
-    // routed to each back-end — the local view each autonomous
-    // controller characterizes. Fixed-policy and controller runs
-    // keep none.
-    std::vector<std::vector<Job>> history(size);
-    std::vector<Policy> current(size,
-                                _config.perServer.initialPolicy);
-    std::vector<bool> last_within(size, false);
-    std::vector<EpochReport> server_epoch(size);
-    for (std::size_t i = 0; i < size; ++i)
-        server_epoch[i].policy = current[i];
-
-    // Per-server log-append counters (starvation detection must tell
-    // "no new jobs this epoch" apart from a trimmed rolling history).
-    std::vector<std::uint64_t> logged(size, 0);
-    std::vector<std::uint64_t> logged_mark(size, 0);
-
-    // Failover re-admissions join the admitting server's local log at
-    // their re-dispatch time, like any other routed job.
-    faults.setAdmitHook([&](const Job &job, std::size_t server) {
-        if (!fixed) {
-            if (needs_log)
-                history[server].push_back(job);
-            ++logged[server];
-            if (track_observations) {
-                epoch_demand[server] += job.size;
-                ++epoch_job_count[server];
-            }
-        }
-    });
-
-    // Scratch for the parallel decision fan-out, indexed by server so
-    // the reduction below is deterministic for any pool width.
-    std::vector<PolicyDecision> decisions(size);
-    std::vector<char> decided(size, 0);
-    std::vector<GuardedDecision> guarded(size);
-
-    // Per-server degraded-mode accounting: a log starved by the
-    // server's own outage (downtime accrued since its last decision)
-    // degrades that server alone.
-    std::vector<double> down_mark(size, 0.0);
-    std::vector<char> outage_starved(size, 0);
-    std::uint64_t cum_completed = 0;
-    std::uint64_t degraded_epochs = 0;
-    double degraded_seconds = 0.0;
-
-    // The decision pool lives for one run, not the runtime's lifetime:
-    // idle FarmRuntimes (e.g. queued behind an ExperimentRunner sweep)
-    // then hold no worker threads, which keeps thread counts sane when
-    // many farm scenarios run concurrently.
-    std::unique_ptr<ThreadPool> decision_pool;
-    if (!fixed) {
-        const std::size_t lanes =
-            _config.decisionThreads == 0
-                ? std::min(size, ThreadPool::hardwareLanes())
-                : std::min(_config.decisionThreads, size);
-        decision_pool = std::make_unique<ThreadPool>(lanes);
-    }
-
-    Job pending;
-    bool has_pending = source.next(pending);
-
-    // Close the epoch on every server: attribute per-server windows,
-    // push per-server reports, merge the farm-level view, and snapshot
-    // the cumulative availability-plane counters.
-    auto closeEpoch = [&](const std::vector<SimStats> &windows,
-                          double now) {
-        for (std::size_t i = 0; i < size; ++i) {
-            server_epoch[i].stats = windows[i];
-            last_within[i] = windowWithinBudget(_qos, windows[i]);
-            result.servers[i].total.merge(windows[i]);
-            // Per-server epoch streams are O(farm x epochs) memory;
-            // scale runs keep only the running totals.
-            if (_config.serverEpochReports)
-                result.servers[i].epochs.push_back(server_epoch[i]);
-        }
-        EpochReport merged = server_epoch.front();
-        merged.stats = ServerFarm::mergeWindows(windows);
-        for (std::size_t i = 0; i < size; ++i)
-            merged.degraded = merged.degraded ||
-                              server_epoch[i].degraded;
-        result.epochs.push_back(merged);
-
-        cum_completed += merged.stats.completions;
-        FarmFaultStats snap = faults.stats();
-        snap.completed = cum_completed;
-        snap.inFlight =
-            snap.admitted - snap.completed + faults.queued();
-        snap.downSeconds = farm.totalDownSeconds();
-        snap.degradedSeconds = degraded_seconds;
-        snap.degradedEpochs = degraded_epochs;
-        snap.elapsedSeconds = now;
-        result.epochFaults.push_back(snap);
-    };
-
-    for (std::size_t minute = 0; minute < minutes; ++minute) {
-        const double t = static_cast<double>(minute) * secondsPerMinute;
-
-        if (minute % epoch_len == 0) {
-            farm.advanceTo(t);
-
-            if (minute > 0)
-                closeEpoch(farm.harvestWindows(), t);
-
-            const std::size_t epoch_index = result.epochs.size();
-            const double predicted =
-                std::clamp(predictor.predict(minute), 0.0, 1.0);
-
-            // Per-server outage starvation: downtime accrued since
-            // this server's previous decision with no new jobs logged
-            // arms its degraded fallback — the rolling history then
-            // only holds pre-outage jobs, which must not be dressed
-            // up as a fresh decision (a merely-warming-up log, with
-            // no downtime, does not degrade).
-            if (faults.active()) {
-                for (std::size_t i = 0; i < size; ++i) {
-                    const double down = farm.downSeconds(i);
-                    outage_starved[i] = down > down_mark[i] &&
-                                                logged[i] ==
-                                                    logged_mark[i]
-                                            ? 1
-                                            : 0;
-                    down_mark[i] = down;
-                    logged_mark[i] = logged[i];
-                }
-            }
-
-            double fanout_micros = 0.0;
-            if (fixed) {
-                for (std::size_t i = 0; i < size; ++i)
-                    current[i] = *_config.perServer.fixedPolicy;
-            } else {
-                // Per-server observations of the just-closed epoch
-                // for the log-free decision path: server_epoch still
-                // holds each server's closed window here (the reports
-                // reset below), and the demand accumulators hold the
-                // epoch's routed work.
-                if (track_observations) {
-                    const double window_seconds =
-                        static_cast<double>(epoch_len) *
-                        secondsPerMinute;
-                    const bool faults_active = faults.active();
-                    for (std::size_t i = 0; i < size; ++i) {
-                        EpochObservation &obs = observations[i];
-                        const SimStats &window = server_epoch[i].stats;
-                        obs.predictedUtilization = predicted;
-                        obs.measuredUtilization =
-                            minute > 0
-                                ? epoch_demand[i] / window_seconds
-                                : 0.0;
-                        obs.hasMeasurement =
-                            minute > 0 && window.completions > 0;
-                        obs.measuredQos =
-                            obs.hasMeasurement
-                                ? _qos.measuredValue(window)
-                                : 0.0;
-                        obs.meanJobSize =
-                            epoch_job_count[i] > 0
-                                ? epoch_demand[i] /
-                                      static_cast<double>(
-                                          epoch_job_count[i])
-                                : 0.0;
-                        obs.faultStarved =
-                            faults_active && outage_starved[i] != 0;
-                        obs.applied = current[i];
-                        epoch_demand[i] = 0.0;
-                        epoch_job_count[i] = 0;
-                    }
-                }
-
-                // Fan the per-server decisions out across the pool.
-                // Each lane touches only its own server's history,
-                // observation, and decider (one eval engine or
-                // controller per server), results land by server
-                // index, and the reduction below runs in index order
-                // — so any pool width is bit-identical to serial.
-                const bool faults_active = faults.active();
-                std::fill(decided.begin(), decided.end(), 0);
-                const double fanout_start =
-                    record_decisions ? monotonicMicros() : 0.0;
-                decision_pool->parallelFor(
-                    size, [&](std::size_t i, std::size_t) {
-                        std::vector<Job> log;
-                        if (needs_log &&
-                            !(faults_active && outage_starved[i]))
-                            log = rescaleHistoryToPrediction(
-                                history[i], predicted);
-                        if (faults_active) {
-                            // Guarded path (docs/FAULTS.md): starved-
-                            // by-outage or infeasible lands on the
-                            // safe fixed policy for this server only.
-                            if (needs_log) {
-                                if (log.empty() && !outage_starved[i])
-                                    return;
-                            } else if (minute == 0) {
-                                return;
-                            }
-                            guarded[i] = _managers[i]->decideGuarded(
-                                observations[i], log,
-                                _config.degradedPolicy);
-                            decisions[i] = guarded[i].decision;
-                            decided[i] = 1;
-                            return;
-                        }
-                        if (needs_log) {
-                            if (log.empty())
-                                return;
-                        } else if (minute == 0) {
-                            return;
-                        }
-                        decisions[i] =
-                            _managers[i]->decide(observations[i], log);
-                        decided[i] = 1;
-                    });
-                if (record_decisions)
-                    fanout_micros = monotonicMicros() - fanout_start;
-            }
-
-            for (std::size_t i = 0; i < size; ++i) {
-                EpochReport &epoch = server_epoch[i];
-                epoch = EpochReport{};
-                epoch.index = epoch_index;
-                epoch.startTime = t;
-                epoch.predictedUtilization = predicted;
-                // The representative report (the merged farm view
-                // copies server 0's fields) carries the whole
-                // fan-out's wall time: the per-epoch decision cost of
-                // the farm, which is what the <1 s-at-10k-servers
-                // acceptance bound is about.
-                if (i == 0)
-                    epoch.decisionMicros = fanout_micros;
-                if (fixed) {
-                    epoch.decided = true;
-                    epoch.feasible = true;
-                } else if (decided[i]) {
-                    current[i] = decisions[i].policy;
-                    epoch.feasible = decisions[i].feasible;
-                    epoch.decided = true;
-                    epoch.degraded =
-                        faults.active() && guarded[i].degraded;
-                    if (epoch.degraded) {
-                        degraded_epochs += 1;
-                        degraded_seconds +=
-                            static_cast<double>(epoch_len) *
-                            secondsPerMinute;
-                    } else {
-                        epoch.boosted = applyOverProvision(
-                            current[i],
-                            _config.perServer.overProvision,
-                            last_within[i]);
-                    }
-                }
-                if (needs_log)
-                    trimHistory(history[i],
-                                _config.perServer.evalLogCap);
-                epoch.policy = current[i];
-                farm.setPolicy(i, current[i], t);
-            }
-        }
-
-        const double minute_end = t + secondsPerMinute;
-        double minute_demand = 0.0;
-        while (has_pending && pending.arrival < minute_end) {
-            faults.catchUp(pending.arrival);
-            const std::size_t routed = faults.offer(pending);
-            minute_demand += pending.size;
-            // Each server logs exactly the jobs dispatched to it — its
-            // own local view, nothing shared. Farm-wide outages park
-            // the job in the failover queue instead; it joins a log
-            // via the admit hook if a retry lands.
-            if (!fixed && routed != ServerFarm::noServer) {
-                if (needs_log)
-                    history[routed].push_back(pending);
-                ++logged[routed];
-                if (track_observations) {
-                    epoch_demand[routed] += pending.size;
-                    ++epoch_job_count[routed];
-                }
-            }
-            has_pending = source.next(pending);
-        }
-        faults.catchUp(minute_end);
-        farm.advanceTo(minute_end);
-
-        const double observed = std::clamp(
-            minute_demand / (secondsPerMinute * farm_size), 0.0, 1.0);
-        predictor.observe(minute, observed);
-    }
-
-    // Play the failover queue out, then run everything to completion.
-    faults.drain();
-    const double horizon =
-        std::max(trace.duration(), farm.nextFreeTime());
-    faults.catchUp(horizon);
-    farm.advanceTo(horizon);
-    closeEpoch(farm.harvestWindows(), horizon);
-
-    for (const EpochReport &report : result.epochs)
-        result.total.merge(report.stats);
-    result.faults = result.epochFaults.back();
-    result.jobsPerServer = farm.jobsPerServer();
-    for (std::size_t i = 0; i < size; ++i) {
-        result.servers[i].jobsRouted = result.jobsPerServer[i];
-        // As in runFarmWide: no completions, no budget claim.
         result.servers[i].withinBudget =
             windowWithinBudget(_qos, result.servers[i].total);
     }

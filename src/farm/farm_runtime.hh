@@ -3,33 +3,35 @@
  * Epoch-driven SleepScale control for a server farm (paper Section 7).
  *
  * The paper conjectures that SleepScale scales out by running on each
- * server independently. This runtime implements both readings of that
- * conjecture as named control modes:
+ * server independently. One epoch loop runs every reading of that
+ * conjecture. Each epoch it decides once per *decision slot*: a
+ * persistent decider, the servers its policy goes to, and the server
+ * whose routed jobs it logs. The control mode only sets the slots:
  *
- *  - "farm-wide": one decision per epoch from a *thinned* aggregate job
- *    log — the jobs the dispatcher routes to server 0, the literal
- *    arrival process of one representative back-end — applied to every
- *    server. Valid for
- *    symmetric dispatchers over identical servers, and cheap: the
- *    queueing characterization runs once per epoch.
- *  - "per-server": every back-end owns its own PolicyManager (whose
- *    eval-engine plan cache and arenas persist across epochs) fed by
- *    the jobs the dispatcher actually routed to it. Decisions fan out
- *    across a thread pool each epoch and are applied in deterministic
- *    server-index order, so any pool width reproduces the serial run.
- *    This is the general mode: it supports heterogeneous platform
- *    mixes (big/little farms) and skewed dispatchers, where per-server
- *    decisions legitimately diverge.
- *  - "distributed": per-server topology with a zero-communication
+ *  - "farm-wide": one slot over every server, fed from the jobs the
+ *    dispatcher routes to server 0 (the literal arrival process of one
+ *    representative back-end) and measuring the farm's offered load.
+ *    Valid for symmetric dispatchers over identical servers, and
+ *    cheap: the queueing characterization runs once per epoch.
+ *  - "per-server": one slot per server, fed by the jobs the dispatcher
+ *    actually routed to it, with its own decider (whose eval-engine
+ *    plan cache and arenas persist across epochs). This is the general
+ *    mode: it supports heterogeneous platform mixes (big/little farms)
+ *    and skewed dispatchers, where per-server decisions legitimately
+ *    diverge.
+ *  - "distributed": per-server slots with a zero-communication
  *    decision rule (farm/rate_scaler.hh, after Rutten et al.,
  *    arXiv:2306.02215) — each back-end provisions its frequency from
  *    a local offered-load estimate, with no job logs and no shared
  *    predictor input. The cheapest mode per epoch and the only one
  *    with no farm-global state at all.
  *
- * In the symmetric homogeneous case the two modes make statistically
- * identical decisions (pinned by tests/farm_per_server_test.cc), which
- * is the paper's Section 7 scale-out argument made executable.
+ * Slot decisions fan out across a thread pool each epoch and are
+ * applied in slot-index order, so any pool width reproduces the serial
+ * run. In the symmetric homogeneous case farm-wide and per-server
+ * control make statistically identical decisions (pinned by
+ * tests/farm_per_server_test.cc), which is the paper's Section 7
+ * scale-out argument made executable.
  */
 
 #ifndef SLEEPSCALE_FARM_FARM_RUNTIME_HH
@@ -76,11 +78,12 @@ struct FarmRuntimeConfig
      * farmSize and heterogeneous mixes require per-server control. */
     std::vector<std::string> platforms;
 
-    /** Fan-out width of the per-server epoch decision loop: 1 decides
-     * serially, N > 1 uses an N-lane pool, 0 picks one lane per server
-     * up to the hardware concurrency. Any width yields bit-identical
-     * decisions: each server's decision lands in a server-indexed slot
-     * and is applied in server-index order after the fan-out joins
+    /** Fan-out width of the epoch decisions: 1 decides serially,
+     * N > 1 uses an N-lane pool, 0 picks one lane per decision slot up
+     * to the hardware concurrency (farm-wide control has a single slot
+     * and so never spawns a thread). Any width yields bit-identical
+     * decisions: each slot's decision lands at its index and is
+     * applied in slot-index order after the fan-out joins
      * (docs/CONCURRENCY.md, invariant 1; this suite runs under TSan in
      * CI via the "concurrency" ctest label). */
     std::size_t decisionThreads = 0;
@@ -103,9 +106,9 @@ struct FarmRuntimeConfig
      * this off; percentile readouts then report 0. */
     bool tailHistograms = true;
 
-    /** Populate FarmServerReport::epochs under per-server control.
-     * On by default; scale runs turn it off so memory stays O(farm),
-     * not O(farm x epochs). */
+    /** Populate FarmServerReport::epochs under per-server and
+     * distributed control. On by default; scale runs turn it off so
+     * memory stays O(farm), not O(farm x epochs). */
     bool serverEpochReports = true;
 
     /** Per-server policy-management knobs (epoch length, α, ρ_b, QoS
@@ -205,8 +208,8 @@ struct FarmFaultStats
 };
 
 /** One back-end's slice of a farm run (always populated; per-epoch
- * reports are filled under per-server control, where each server
- * decides for itself). */
+ * reports are filled under per-server and distributed control, where
+ * each server decides for itself). */
 struct FarmServerReport
 {
     /** Server index in [0, farmSize). */
@@ -219,8 +222,9 @@ struct FarmServerReport
     SimStats total;
 
     /** This server's per-epoch decisions and outcomes ("per-server"
-     * control only; empty under "farm-wide", whose single decision
-     * stream lives in FarmRuntimeResult::epochs). */
+     * and "distributed" control, unless serverEpochReports is off;
+     * empty under "farm-wide", whose single decision stream lives in
+     * FarmRuntimeResult::epochs). */
     std::vector<EpochReport> epochs;
 
     /** Jobs the dispatcher routed to this server. */
@@ -243,10 +247,12 @@ struct FarmRuntimeResult
     /** Farm-wide merged statistics (watts are farm watts). */
     SimStats total;
 
-    /** Farm-level epoch reports. Under "farm-wide" control the policy
-     * fields are the farm-wide decisions; under "per-server" control
-     * they carry server 0's policy as a representative (the full
-     * per-server decision streams are in servers[i].epochs). */
+    /** Farm-level epoch reports over the farm-merged windows. Under
+     * "farm-wide" control the policy fields are the farm-wide
+     * decisions; under "per-server" and "distributed" control they
+     * carry server 0's policy as a representative (the full per-server
+     * decision streams are in servers[i].epochs), and `degraded` is set
+     * when any server degraded. */
     std::vector<EpochReport> epochs;
 
     /** Per-server breakdown, one entry per back-end in index order. */
@@ -276,8 +282,12 @@ struct FarmRuntimeResult
     /** Whole-run farm power, watts. */
     double avgPower() const { return total.avgPower(); }
 
-    /** Whether the pooled response statistic met the budget. */
-    bool withinBudget() const { return qos.satisfiedBy(total); }
+    /** Whether the pooled response statistic met the budget. A farm
+     * that completed nothing has no such statistic and does not. */
+    bool withinBudget() const
+    {
+        return total.completions > 0 && qos.satisfiedBy(total);
+    }
 };
 
 /** Runs SleepScale over a dispatched farm. */
@@ -301,9 +311,8 @@ class FarmRuntime
      * Run a streaming aggregate job source through the farm.
      *
      * Jobs are pulled epoch by epoch with one-job lookahead; the only
-     * job buffers are the decision logs (the thinned farm-wide log, or
-     * one log per server under per-server control, each capped at
-     * evalLogCap) and the lookahead itself, so a million-job day
+     * job buffers are the decision logs (one per decision slot, each
+     * capped at evalLogCap) and the lookahead itself, so a million-job day
      * streams in O(history) memory with no full-trace materialization.
      *
      * @param source Aggregate arrivals (consumed); the trace's
@@ -331,25 +340,15 @@ class FarmRuntime
     /** The QoS constraint derived from the configuration. */
     const QosConstraint &qos() const { return _qos; }
 
-    /** The farm-wide search policy manager (null for fixed-policy,
-     * per-server, or controller configurations). Persistent across
-     * epochs and runs so the evaluation engine's plan cache and
-     * arenas are reused. */
-    const PolicyManager *manager() const { return _searchManager; }
-
-    /** The farm-wide per-epoch decider — search manager or feedback
-     * controller (null for fixed-policy or per-server
-     * configurations). */
-    const EpochDecider *decider() const { return _manager.get(); }
-
-    /** One server's autonomous search policy manager (per-server
+    /** One server's autonomous search policy manager ("per-server"
      * search control only; fatal() otherwise or when the index is out
      * of range). Persistent across epochs and runs, so each server's
      * eval-engine cache survives the whole farm lifetime. */
     const PolicyManager &serverManager(std::size_t server) const;
 
-    /** One server's autonomous per-epoch decider (per-server control
-     * only; fatal() otherwise or when the index is out of range). */
+    /** One server's autonomous per-epoch decider ("per-server" or
+     * "distributed" control only; fatal() otherwise or when the index
+     * is out of range). */
     const EpochDecider &serverDecider(std::size_t server) const;
 
     /** Resolved power model of one server. */
@@ -370,36 +369,18 @@ class FarmRuntime
      * to the constructor platform), fixed at construction. */
     std::vector<const PlatformModel *> _serverPlatforms;
 
-    /** Farm-wide persistent decider (search manager + evaluation
-     * engine, or feedback controller); its state mutates during
-     * decisions, so concurrent run() calls on one instance are not
-     * safe. */
-    std::unique_ptr<EpochDecider> _manager;
+    /** One persistent decider per decision slot (empty under a fixed
+     * policy): a single one under farm-wide control, one per back-end
+     * under per-server and distributed control, so each keeps its own
+     * eval-engine cache or controller state. Decisions mutate them, so
+     * concurrent run() calls on one instance are not safe. The pool
+     * that fans decisions out is created per run(), so an idle runtime
+     * holds no worker threads. */
+    std::vector<std::unique_ptr<EpochDecider>> _deciders;
 
-    /** Per-server persistent deciders (per-server control; one per
-     * back-end so each keeps its own eval-engine cache or controller
-     * state — autonomous per-server control is the point of the O(1)
-     * path). The decision pool that fans decisions out over them is
-     * created per run(), so an idle runtime holds no worker threads. */
-    std::vector<std::unique_ptr<EpochDecider>> _managers;
-
-    /** _manager, when it is the search path (see manager()). */
-    PolicyManager *_searchManager = nullptr;
-
-    /** _managers entries, when they are the search path (see
-     * serverManager()). */
-    std::vector<PolicyManager *> _searchManagers;
-
-    /** Whether config.control selects autonomous per-server control. */
+    /** Whether config.control gives every server its own decision
+     * slot ("per-server" or "distributed"). */
     bool perServerControl() const;
-
-    FarmRuntimeResult runFarmWide(JobSource &source,
-                                  const UtilizationTrace &trace,
-                                  UtilizationPredictor &predictor) const;
-
-    FarmRuntimeResult runPerServer(JobSource &source,
-                                   const UtilizationTrace &trace,
-                                   UtilizationPredictor &predictor) const;
 };
 
 /**

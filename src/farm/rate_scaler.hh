@@ -10,8 +10,8 @@
  * rule packaged as an EpochDecider: each server keeps a Robbins–Monro
  * estimate of its local offered load and picks the lowest frequency
  * whose scaled utilization stays under a target, leaving the sleep
- * plan fixed. Plugged into FarmRuntime's per-server loop it gives the
- * farm a third control mode beside "farm-wide" and "per-server":
+ * plan fixed. Given one decision slot per server in FarmRuntime's epoch
+ * loop, it gives the farm a third control mode beside "farm-wide" and "per-server":
  * cheaper than the log-replay search (O(grid) per epoch, no job log)
  * and more decentralized than both (it ignores the shared utilization
  * predictor entirely).

@@ -203,7 +203,7 @@ runFarm(const PlatformModel &platform, const WorkloadSpec &workload,
     return runtime.run(jobs, trace, predictor);
 }
 
-// End to end: the distributed farm runs the per-server loop, every
+// End to end: the distributed farm decides once per server, every
 // decided frequency is a member of the candidate grid, and the sleep
 // plan never moves off the initial policy's (rate scaling only moves
 // frequency).

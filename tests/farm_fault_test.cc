@@ -438,22 +438,30 @@ TEST(FarmFailover, AlwaysDownFarmDrainsInBoundedRetries)
     // delay doubles to the cap, every job exhausts its drop deadline
     // in a few dozen attempts, and conservation still closes.
     const UtilizationTrace trace("flat", std::vector<double>(10, 0.3));
-    FarmRuntimeConfig config = faultRuntimeConfig(2, "farm-wide");
-    config.faults = "scripted";
-    config.faultScript = {{0.0, 0, true}, {0.0, 1, true}};
-    config.retryBackoff = 1e-12;
-    config.retryBackoffCap = 30.0;
-    config.dropTimeout = 120.0;
+    for (const char *control : {"farm-wide", "per-server", "distributed"}) {
+        FarmRuntimeConfig config = faultRuntimeConfig(2, control);
+        config.faults = "scripted";
+        config.faultScript = {{0.0, 0, true}, {0.0, 1, true}};
+        config.retryBackoff = 1e-12;
+        config.retryBackoffCap = 30.0;
+        config.dropTimeout = 120.0;
 
-    const FarmRuntimeResult result = runFaultScenario(config, trace);
-    expectConservation(result);
-    EXPECT_GT(result.faults.offered, 0u);
-    EXPECT_EQ(result.faults.completed, 0u);
-    EXPECT_EQ(result.faults.dropped, result.faults.offered);
-    // Delays reach the 120 s deadline within ~47 doublings from 1e-12
-    // (plus the capped tail), so the retry bill is a small per-job
-    // constant — not the ~10^8 of the pre-fix spin.
-    EXPECT_LE(result.faults.retries, result.faults.offered * 60);
+        const FarmRuntimeResult result = runFaultScenario(config, trace);
+        expectConservation(result);
+        EXPECT_GT(result.faults.offered, 0u) << control;
+        EXPECT_EQ(result.faults.completed, 0u) << control;
+        EXPECT_EQ(result.faults.dropped, result.faults.offered) << control;
+        // Delays reach the 120 s deadline within ~47 doublings from
+        // 1e-12 (plus the capped tail), so the retry bill is a small
+        // per-job constant — not the ~10^8 of the pre-fix spin.
+        EXPECT_LE(result.faults.retries, result.faults.offered * 60)
+            << control;
+        // A farm that served nothing has no response statistic to meet
+        // the budget with, farm-wide or on any server.
+        EXPECT_FALSE(result.withinBudget()) << control;
+        for (const FarmServerReport &server : result.servers)
+            EXPECT_FALSE(server.withinBudget) << control;
+    }
 }
 
 TEST(FarmFailover, RecoveryDelayExtendsUnavailability)

@@ -21,7 +21,7 @@
  *   sleepscale trace  [--kind es|fs] [--days 3] [--seed 42]
  *                     [--out trace.csv]
  *   sleepscale farm   [--servers 4] [--dispatcher packing]
- *                     [--control farm-wide|per-server]
+ *                     [--control farm-wide|per-server|distributed]
  *                     [--platform xeon] [--platforms xeon,atom,...]
  *                     [--decision-threads 0] [--trace es|fs]
  *                     [--workload dns] [--T 5] [--alpha 0.35] [--seed 1]
