@@ -249,7 +249,7 @@ rescaleHistoryToPrediction(const std::vector<Job> &history,
     const double gap_scale = measured / target;
     log.reserve(history.size());
     double clock =
-        span / static_cast<double>(history.size()) * gap_scale;
+        span / static_cast<double>(history.size() - 1) * gap_scale;
     log.push_back({clock, history.front().size});
     for (std::size_t i = 1; i < history.size(); ++i) {
         clock += (history[i].arrival - history[i - 1].arrival) *
@@ -259,14 +259,35 @@ rescaleHistoryToPrediction(const std::vector<Job> &history,
     return log;
 }
 
-/** Drop all but the most recent `cap` jobs of a rolling history. */
+/**
+ * Close a rolling history's epoch: keep the jobs of the last `epochs`
+ * epochs, then only the most recent `cap` of them, deducting dropped
+ * jobs from the oldest epochs' counts (the single-server rule).
+ */
 void
-trimHistory(std::vector<Job> &history, std::size_t cap)
+trimHistory(std::vector<Job> &history, std::deque<std::size_t> &counts,
+            std::size_t epochs, std::size_t cap)
 {
-    if (history.size() > cap) {
-        history.erase(history.begin(),
-                      history.end() - static_cast<std::ptrdiff_t>(cap));
+    std::size_t logged = 0;
+    for (std::size_t count : counts)
+        logged += count;
+    counts.push_back(history.size() - logged);
+    std::size_t drop = 0;
+    for (; counts.size() > epochs; counts.pop_front())
+        drop += counts.front();
+    if (history.size() - drop > cap) {
+        std::size_t excess = history.size() - drop - cap;
+        drop += excess;
+        while (excess > 0) {
+            const std::size_t take = std::min(excess, counts.front());
+            counts.front() -= take;
+            excess -= take;
+            if (counts.front() == 0)
+                counts.pop_front();
+        }
     }
+    history.erase(history.begin(),
+                  history.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
 /** Whether a harvested window (an epoch's, or a server's whole-run
@@ -301,8 +322,10 @@ applyOverProvision(Policy &policy, double alpha, bool last_within)
  */
 struct DecisionSlot
 {
-    /** Rolling log of the log server's jobs (log-based deciders). */
+    /** Rolling log of the log server's jobs (log-based deciders) and
+     * its job count per closed epoch. */
     std::vector<Job> history;
+    std::deque<std::size_t> historyCounts;
 
     /** Outage starvation: jobs ever logged (a trimmed log must not
      * read as "no new jobs"), their count and the log server's
@@ -774,6 +797,10 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                         // load (shape-preserving gap scaling, as in the
                         // single-server runtime's buildEvalLog).
                         std::vector<Job> log;
+                        if (needs_log && minute > 0)
+                            trimHistory(slot.history, slot.historyCounts,
+                                        _config.perServer.historyEpochs,
+                                        _config.perServer.evalLogCap);
                         if (needs_log && !starved)
                             log = rescaleHistoryToPrediction(
                                 slot.history, predicted);
@@ -835,8 +862,6 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
                             last_within);
                     }
                 }
-                if (needs_log)
-                    trimHistory(slot.history, _config.perServer.evalLogCap);
                 epoch.policy = slot.current;
             }
             for (std::size_t i = 0; i < size; ++i)

@@ -112,7 +112,9 @@ struct FarmRuntimeConfig
     bool serverEpochReports = true;
 
     /** Per-server policy-management knobs (epoch length, α, ρ_b, QoS
-     * metric, candidate space, log caps). */
+     * metric, candidate space). Each decision slot's log follows the
+     * single-server rule: the last historyEpochs epochs of its jobs,
+     * capped at evalLogCap before the rescale. */
     RuntimeConfig perServer;
 
     // ------------------------------------------ fault injection
@@ -312,7 +314,8 @@ class FarmRuntime
      *
      * Jobs are pulled epoch by epoch with one-job lookahead; the only
      * job buffers are the decision logs (one per decision slot, each
-     * capped at evalLogCap) and the lookahead itself, so a million-job day
+     * holding at most historyEpochs epochs, capped at evalLogCap when
+     * a decision reads it) and the lookahead itself, so a million-job day
      * streams in O(history) memory with no full-trace materialization.
      *
      * @param source Aggregate arrivals (consumed); the trace's

@@ -540,7 +540,11 @@ TEST(DegradedMode, FarmWideControllerDegradesWhenRepresentativeDies)
 // byte-identical to the pre-fault runtime — same totals, same decision
 // streams, same RNG consumption. These constants were produced by the
 // runtime immediately before the fault layer landed; a change here is
-// a behavioural regression of the fault-free path, not a re-pin.
+// a behavioural regression of the fault-free path, not a re-pin. The
+// search-strategy rows were re-recorded once, when the farm adopted the
+// single-server history rule (the last historyEpochs epochs, capped at
+// evalLogCap before the rescale): the log a search decides on moved,
+// not the fault-free path.
 struct TotalsPin
 {
     const char *workload;
@@ -552,18 +556,18 @@ struct TotalsPin
 };
 
 constexpr TotalsPin totalsPins[] = {
-    {"dns", "farm-wide", 0x1.49196fd8e6d27p+20, 0x1.eb74fdc2f439ap-2,
-     0x1.766468493ff6dp+8, 16641},
-    {"dns", "per-server", 0x1.4b99037de62b7p+20, 0x1.e12d8011e531fp-2,
-     0x1.793c01c60cd18p+8, 16641},
-    {"mail", "farm-wide", 0x1.8bd522d21b937p+20, 0x1.c479452b3dfdp-2,
-     0x1.c259b4da34c69p+8, 35626},
-    {"mail", "per-server", 0x1.7c88c4373db3ap+20, 0x1.c65214b271bbap-2,
-     0x1.b0f1efdcdf795p+8, 35626},
+    {"dns", "farm-wide", 0x1.4a98fb607579cp+20, 0x1.e59236397053bp-2,
+     0x1.7818bd0a2075fp+8, 16641},
+    {"dns", "per-server", 0x1.4c1c2340085a2p+20, 0x1.dfabf782f7908p-2,
+     0x1.79d12d59e6477p+8, 16641},
+    {"mail", "farm-wide", 0x1.9509bfe6c84f2p+20, 0x1.c99f776e949d1p-2,
+     0x1.ccd2eda01eee8p+8, 35626},
+    {"mail", "per-server", 0x1.85708026f800dp+20, 0x1.c85b745da06d4p-2,
+     0x1.bb13b07e2377fp+8, 35626},
     {"google", "farm-wide", 0x1.5201231721fb9p+20, 0x1.490185fa4c5dcp-7,
      0x1.80925f2353076p+8, 772151},
-    {"google", "per-server", 0x1.5201231721fb9p+20,
-     0x1.490185fa4c5dcp-7, 0x1.80925f2353076p+8, 772151},
+    {"google", "per-server", 0x1.518181b8ce9dbp+20, 0x1.4ac32e6fdfba8p-7,
+     0x1.80012850e5484p+8, 772151},
 };
 
 ScenarioSpec
@@ -643,12 +647,12 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
         const char *strategy;
         std::uint64_t hash;
     } decisionPins[] = {
-        {"dns", "farm-wide", "SS", 16696251915500299262ull},
-        {"dns", "per-server", "SS", 4471223357707459165ull},
-        {"mail", "farm-wide", "SS", 5281247639333244743ull},
-        {"mail", "per-server", "SS", 18245108240386715353ull},
+        {"dns", "farm-wide", "SS", 17617608335292751129ull},
+        {"dns", "per-server", "SS", 9334709661478072820ull},
+        {"mail", "farm-wide", "SS", 3281817410058412223ull},
+        {"mail", "per-server", "SS", 11482907085343750592ull},
         {"google", "farm-wide", "SS", 1303420475129017184ull},
-        {"google", "per-server", "SS", 6077832704634492465ull},
+        {"google", "per-server", "SS", 11511760066812209774ull},
         {"dns", "farm-wide", "poet", 3906190904782045078ull},
         {"dns", "per-server", "poet", 12570029525244672124ull},
         {"mail", "farm-wide", "poet", 14355860263734748752ull},
@@ -718,7 +722,8 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
 // counters — so any change to failover routing shows up as a changed
 // hash. Like the no-fault pins above they are behaviour, not tuning:
 // a change here is a regression unless the routing semantics were
-// changed on purpose.
+// changed on purpose. The SS rows were re-recorded with the no-fault
+// ones when the farm adopted the single-server history rule.
 
 /** Hash of every routing choice made through RecordingDispatcher. */
 std::uint64_t recordedRoutes = 0;
@@ -800,26 +805,26 @@ struct FaultyPin
 };
 
 constexpr FaultyPin faultyPins[] = {
-    {"mtbf", "random", "farm-wide", "SS", 0.0, 8555092131847116493ull},
-    {"mtbf", "random", "per-server", "SS", 0.0, 5871925370731901437ull},
-    {"mtbf", "round-robin", "farm-wide", "SS", 0.0, 5050754618742014413ull},
-    {"mtbf", "round-robin", "per-server", "SS", 0.0, 9342342005562181023ull},
-    {"mtbf", "JSQ", "farm-wide", "SS", 0.0, 11423001267171466894ull},
-    {"mtbf", "JSQ", "per-server", "SS", 0.0, 18120386323070352548ull},
-    {"mtbf", "packing", "farm-wide", "SS", 0.0, 16974298949255359416ull},
-    {"mtbf", "packing", "per-server", "SS", 0.0, 10657770710993521812ull},
-    {"correlated", "random", "farm-wide", "SS", 0.0, 16424182184814574428ull},
-    {"correlated", "random", "per-server", "SS", 0.0, 8819007278570613166ull},
+    {"mtbf", "random", "farm-wide", "SS", 0.0, 4837287562499554032ull},
+    {"mtbf", "random", "per-server", "SS", 0.0, 2786384734277626830ull},
+    {"mtbf", "round-robin", "farm-wide", "SS", 0.0, 15572456566652871987ull},
+    {"mtbf", "round-robin", "per-server", "SS", 0.0, 8176170951125605964ull},
+    {"mtbf", "JSQ", "farm-wide", "SS", 0.0, 12940615935814548358ull},
+    {"mtbf", "JSQ", "per-server", "SS", 0.0, 9376475763251126055ull},
+    {"mtbf", "packing", "farm-wide", "SS", 0.0, 12508651919902155808ull},
+    {"mtbf", "packing", "per-server", "SS", 0.0, 6197194970579435019ull},
+    {"correlated", "random", "farm-wide", "SS", 0.0, 7877149196821409830ull},
+    {"correlated", "random", "per-server", "SS", 0.0, 4626753904481795458ull},
     {"correlated", "round-robin", "farm-wide", "SS", 0.0,
-     487961192493874709ull},
+     773827565266422900ull},
     {"correlated", "round-robin", "per-server", "SS", 0.0,
-     11874565757521802134ull},
-    {"correlated", "JSQ", "farm-wide", "SS", 0.0, 16676643857289107956ull},
-    {"correlated", "JSQ", "per-server", "SS", 0.0, 10067399334739515264ull},
+     18129898954112158147ull},
+    {"correlated", "JSQ", "farm-wide", "SS", 0.0, 11252540230749931343ull},
+    {"correlated", "JSQ", "per-server", "SS", 0.0, 5881282210750991662ull},
     {"correlated", "packing", "farm-wide", "SS", 0.0,
-     12501583641755423964ull},
+     5499046564164936540ull},
     {"correlated", "packing", "per-server", "SS", 0.0,
-     9324247023980601988ull},
+     2500074672041000907ull},
     // The feedback controller under both decision scopes.
     {"mtbf", "random", "farm-wide", "poet", 0.0, 7713138797378464954ull},
     {"mtbf", "random", "per-server", "poet", 0.0, 18039358433026913496ull},
@@ -829,8 +834,8 @@ constexpr FaultyPin faultyPins[] = {
     {"mtbf", "random", "distributed", "SS", 0.0, 4571317882463658736ull},
     {"correlated", "JSQ", "distributed", "SS", 0.0, 10168939575139649053ull},
     // Over-provisioning boosts interleaved with degraded epochs.
-    {"mtbf", "random", "farm-wide", "SS", 0.35, 8438106573352255381ull},
-    {"mtbf", "random", "per-server", "SS", 0.35, 9239702439033199598ull},
+    {"mtbf", "random", "farm-wide", "SS", 0.35, 14077735757329634683ull},
+    {"mtbf", "random", "per-server", "SS", 0.35, 16169880616967360330ull},
     {"mtbf", "random", "farm-wide", "poet", 0.35, 17791905599001848392ull},
     {"mtbf", "random", "distributed", "SS", 0.35, 8981458450637710180ull},
     // A 100 s full-farm outage: arrivals park in the retry queue.

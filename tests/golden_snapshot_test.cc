@@ -34,6 +34,7 @@
 #include "core/runtime.hh"
 #include "core/strategies.hh"
 #include "experiment/runner.hh"
+#include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/csv.hh"
 #include "util/error.hh"
@@ -551,6 +552,92 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SingleServerPins> &param_info) {
         return std::string(param_info.param.workload);
     });
+
+// ------------------------------------ one-server farm equivalence
+//
+// SleepScaleRuntime keeps its own loop over one ServerSim (a one-server
+// ServerFarm costs more per job), but both runtimes decide through the
+// same epoch procedure. A one-server, fault-free farm therefore has to
+// reproduce the single-server run bit for bit under either decision
+// scope: every epoch's policy, flags and window, and the total energy.
+
+void
+expectSameWindow(const SimStats &farm, const SimStats &single,
+                 const std::string &where)
+{
+    EXPECT_EQ(farm.windowStart, single.windowStart) << where;
+    EXPECT_EQ(farm.windowEnd, single.windowEnd) << where;
+    EXPECT_EQ(farm.energy, single.energy) << where;
+    EXPECT_EQ(farm.busyTime, single.busyTime) << where;
+    EXPECT_EQ(farm.wakeTime, single.wakeTime) << where;
+    EXPECT_EQ(farm.arrivals, single.arrivals) << where;
+    EXPECT_EQ(farm.completions, single.completions) << where;
+    EXPECT_EQ(farm.response.sum(), single.response.sum()) << where;
+}
+
+class OneServerFarm : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(OneServerFarm, ReproducesTheSingleServerRuntime)
+{
+    const std::string workload = GetParam();
+    const struct
+    {
+        const char *strategy;
+        bool pruned;
+    } strategies[] = {{"SS", false},
+                      {"SS", true},
+                      {"poet", false},
+                      {"DVFS", false},
+                      {"R2H(C6)", false}};
+    for (const auto &strategy : strategies) {
+        const ScenarioSpec spec = sliceScenario(
+            workload, strategy.strategy, strategy.pruned, 0.35);
+        const RuntimeResult single = runSlice(spec);
+        for (const char *control : {"farm-wide", "per-server"}) {
+            const std::string label = workload + "/" + strategy.strategy +
+                                      (strategy.pruned ? "/pruned/" : "/") +
+                                      control;
+            FarmRuntimeConfig config;
+            config.farmSize = 1;
+            config.control = control;
+            config.perServer = sliceConfig(spec);
+            const PlatformModel platform = platformByName(spec.platform);
+            const UtilizationTrace trace = spec.trace.realize();
+            const FarmRuntime runtime(
+                platform, workloadByName(spec.workload), config);
+            const auto source = sliceSource(spec, trace);
+            const auto predictor = makePredictor(
+                spec.predictor, spec.predictorHistory, trace.values());
+            const FarmRuntimeResult farm =
+                runtime.run(*source, trace, *predictor);
+
+            ASSERT_EQ(farm.epochs.size(), single.epochs.size()) << label;
+            for (std::size_t i = 0; i < single.epochs.size(); ++i) {
+                const EpochReport &f = farm.epochs[i];
+                const EpochReport &s = single.epochs[i];
+                const std::string where =
+                    label + " epoch " + std::to_string(i);
+                EXPECT_EQ(f.policy.frequency, s.policy.frequency) << where;
+                EXPECT_EQ(f.policy.plan.deepest(), s.policy.plan.deepest())
+                    << where;
+                EXPECT_EQ(f.policy.plan.size(), s.policy.plan.size())
+                    << where;
+                EXPECT_EQ(f.decided, s.decided) << where;
+                EXPECT_EQ(f.feasible, s.feasible) << where;
+                EXPECT_EQ(f.boosted, s.boosted) << where;
+                EXPECT_EQ(f.predictedUtilization, s.predictedUtilization)
+                    << where;
+                expectSameWindow(f.stats, s.stats, where);
+            }
+            EXPECT_EQ(farm.total.energy, single.total.energy) << label;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table5, OneServerFarm,
+                         ::testing::Values("dns", "mail", "google"));
 
 } // namespace
 } // namespace sleepscale
