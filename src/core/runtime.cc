@@ -1,9 +1,8 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
-#include <cmath>
 
-#include "control/controller_manager.hh"
+#include "core/decision_slot.hh"
 #include "util/error.hh"
 #include "util/monotonic_clock.hh"
 
@@ -13,31 +12,13 @@ namespace {
 
 constexpr double secondsPerMinute = 60.0;
 
-/**
- * Streaming replacement of offeredLoad() for epoch accounting: a
- * degenerate window reports zero load instead of dividing by zero.
- */
-double
-windowLoad(const std::vector<Job> &jobs, double window)
-{
-    if (window <= 0.0)
-        return 0.0;
-    double demand = 0.0;
-    for (const Job &job : jobs)
-        demand += job.size;
-    return demand / window;
-}
-
-QosConstraint
-deriveQos(const RuntimeConfig &config, const WorkloadSpec &spec)
-{
-    if (config.qosMetric == QosMetric::MeanResponse)
-        return QosConstraint::fromBaselineMean(config.rhoB,
-                                               spec.serviceMean);
-    return QosConstraint::fromBaselineTail(config.rhoB, spec.serviceMean);
-}
-
 } // namespace
+
+bool
+windowWithinBudget(const QosConstraint &qos, const SimStats &stats)
+{
+    return stats.completions > 0 && qos.satisfiedBy(stats);
+}
 
 std::array<double, numLowPowerStates>
 RuntimeResult::stateSelectionFractions() const
@@ -63,73 +44,8 @@ SleepScaleRuntime::SleepScaleRuntime(const PlatformModel &platform,
     : _platform(platform), _spec(spec), _config(std::move(config)),
       _qos(deriveQos(_config, spec))
 {
-    fatalIf(_config.epochMinutes == 0,
-            "SleepScaleRuntime: epochMinutes must be positive");
-    fatalIf(_config.overProvision < 0.0,
-            "SleepScaleRuntime: overProvision must be >= 0");
-    fatalIf(_config.evalLogCap < 2,
-            "SleepScaleRuntime: evalLogCap must be at least 2");
-    fatalIf(_config.historyEpochs == 0,
-            "SleepScaleRuntime: historyEpochs must be positive");
-    if (!_config.fixedPolicy) {
-        if (_config.controller) {
-            _manager = std::make_unique<ControllerManager>(
-                _platform, _spec.scaling, _config.space, _qos,
-                *_config.controller, _config.initialPolicy);
-        } else {
-            auto manager = std::make_unique<PolicyManager>(
-                _platform, _spec.scaling, _config.space, _qos,
-                _config.search);
-            _searchManager = manager.get();
-            _manager = std::move(manager);
-        }
-    }
-}
-
-std::vector<Job>
-SleepScaleRuntime::buildEvalLog(const std::vector<Job> &history,
-                                double predicted) const
-{
-    if (history.size() < 2)
-        return {};
-
-    // Keep only the most recent jobs up to the cap.
-    const std::size_t keep = std::min(_config.evalLogCap,
-                                      history.size());
-    const std::size_t first = history.size() - keep;
-
-    // Measured offered load across the kept window: demand of the jobs
-    // that follow the first kept arrival over the spanned time.
-    const double span =
-        history.back().arrival - history[first].arrival;
-    if (span <= 0.0)
-        return {};
-    double demand = 0.0;
-    for (std::size_t i = first + 1; i < history.size(); ++i)
-        demand += history[i].size;
-    const double measured = demand / span;
-    if (measured <= 0.0)
-        return {};
-
-    // Rescale arrival gaps so the log's offered load equals the
-    // prediction; job sizes are untouched (the service distribution is
-    // stationary, Section 6). The first kept job is re-anchored at one
-    // mean gap.
-    const double target = std::clamp(predicted, 0.01, 0.99);
-    const double gap_scale = measured / target;
-    const double mean_gap =
-        span / static_cast<double>(keep - 1) * gap_scale;
-
-    std::vector<Job> log;
-    log.reserve(keep);
-    double clock = mean_gap;
-    log.push_back({clock, history[first].size});
-    for (std::size_t i = first + 1; i < history.size(); ++i) {
-        clock += (history[i].arrival - history[i - 1].arrival) *
-                 gap_scale;
-        log.push_back({clock, history[i].size});
-    }
-    return log;
+    validateRuntimeConfig(_config, "SleepScaleRuntime");
+    _decider = makeEpochDecider(_platform, _spec, _config, _qos);
 }
 
 RuntimeResult
@@ -151,60 +67,17 @@ SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
     const unsigned epoch_len = _config.epochMinutes;
 
     ServerSim sim(_platform, _spec.scaling, _config.initialPolicy);
+    DecisionSlot slot(_config, _qos, _decider.get());
 
     RuntimeResult result;
     result.qos = _qos;
     result.total.windowStart = 0.0;
 
     // One-job lookahead over the stream: the only jobs ever held are
-    // the pending one, the current epoch's arrivals, and the bounded
-    // history log — O(epoch + history) memory however long the run.
+    // the pending one and the slot's bounded log — O(epoch + history)
+    // memory however long the run.
     Job pending;
     bool has_pending = source.next(pending);
-    std::vector<Job> epoch_jobs;  // Arrivals inside the current epoch.
-    // Rolling log of the last historyEpochs epochs' arrivals, capped at
-    // evalLogCap jobs (Section 5.2.1 logs events from previous epochs).
-    std::vector<Job> history_jobs;
-    std::vector<std::size_t> history_counts; // jobs per logged epoch
-    bool last_epoch_within_budget = false;
-    Policy current = _config.initialPolicy;
-    // Scalar measurements of the epoch that just closed, for log-free
-    // deciders (core/epoch_decider.hh).
-    EpochObservation observation;
-
-    auto absorb_epoch_into_history = [&](const std::vector<Job> &jobs_in) {
-        history_jobs.insert(history_jobs.end(), jobs_in.begin(),
-                            jobs_in.end());
-        history_counts.push_back(jobs_in.size());
-        while (history_counts.size() > _config.historyEpochs) {
-            history_jobs.erase(history_jobs.begin(),
-                               history_jobs.begin() +
-                                   static_cast<std::ptrdiff_t>(
-                                       history_counts.front()));
-            history_counts.erase(history_counts.begin());
-        }
-        // Enforce the job cap, deducting the dropped jobs from the
-        // oldest epochs' counts so both views stay consistent.
-        if (history_jobs.size() > _config.evalLogCap) {
-            std::size_t excess =
-                history_jobs.size() - _config.evalLogCap;
-            history_jobs.erase(history_jobs.begin(),
-                               history_jobs.begin() +
-                                   static_cast<std::ptrdiff_t>(excess));
-            while (excess > 0) {
-                if (history_counts.front() <= excess) {
-                    excess -= history_counts.front();
-                    history_counts.erase(history_counts.begin());
-                } else {
-                    history_counts.front() -= excess;
-                    excess = 0;
-                }
-            }
-        }
-    };
-
-    EpochReport epoch;
-    epoch.policy = current;
 
     for (std::size_t minute = 0; minute < minutes; ++minute) {
         const double t = static_cast<double>(minute) * secondsPerMinute;
@@ -212,96 +85,20 @@ SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
         if (minute % epoch_len == 0) {
             // ---- Epoch boundary ----
             sim.advanceTo(t);
-
             if (minute > 0) {
-                epoch.stats = sim.harvestWindow();
-                epoch.measuredUtilization =
-                    windowLoad(epoch_jobs,
-                               static_cast<double>(epoch_len) *
-                                   secondsPerMinute);
-                last_epoch_within_budget =
-                    epoch.stats.completions > 0 &&
-                    _qos.satisfiedBy(epoch.stats);
-
-                observation.measuredUtilization =
-                    epoch.measuredUtilization;
-                observation.hasMeasurement =
-                    epoch.stats.completions > 0;
-                observation.measuredQos =
-                    observation.hasMeasurement
-                        ? _qos.measuredValue(epoch.stats)
-                        : 0.0;
-                observation.meanJobSize =
-                    epoch_jobs.empty()
-                        ? 0.0
-                        : epoch.measuredUtilization *
-                              static_cast<double>(epoch_len) *
-                              secondsPerMinute /
-                              static_cast<double>(epoch_jobs.size());
-                observation.applied = current;
-
-                result.epochs.push_back(epoch);
-
-                absorb_epoch_into_history(epoch_jobs);
-                epoch_jobs.clear();
+                slot.close(sim.harvestWindow());
+                result.epochs.push_back(slot.report());
             }
-
-            epoch = EpochReport{};
-            epoch.index = result.epochs.size();
-            epoch.startTime = t;
-
             const double predicted =
                 std::clamp(predictor.predict(minute), 0.0, 1.0);
-            epoch.predictedUtilization = predicted;
-
-            if (_config.fixedPolicy) {
-                current = *_config.fixedPolicy;
-                epoch.decided = true;
-                epoch.feasible = true;
-            } else {
-                observation.predictedUtilization = predicted;
-                // Log-based deciders need a thick-enough rescaled
-                // log; the O(1) controller skips log construction
-                // entirely and decides from the observation alone.
-                std::vector<Job> log;
-                bool ready = false;
-                if (_manager->needsLog()) {
-                    if (!history_jobs.empty()) {
-                        log = buildEvalLog(history_jobs, predicted);
-                        ready = log.size() >= 2;
-                    }
-                } else {
-                    ready = minute > 0;
-                }
-                if (ready) {
-                    const double decide_start =
-                        _config.recordDecisionTime ? monotonicMicros()
-                                                   : 0.0;
-                    const PolicyDecision decision =
-                        _manager->decide(observation, log);
-                    if (_config.recordDecisionTime)
-                        epoch.decisionMicros =
-                            monotonicMicros() - decide_start;
-                    current = decision.policy;
-                    epoch.feasible = decision.feasible;
-                    epoch.decided = true;
-
-                    // Over-provisioning guard band (Section 5.2.3).
-                    if (_config.overProvision > 0.0 &&
-                        last_epoch_within_budget) {
-                        const double boosted = std::min(
-                            1.0, current.frequency *
-                                     (1.0 + _config.overProvision));
-                        if (boosted > current.frequency) {
-                            current.frequency = boosted;
-                            epoch.boosted = true;
-                        }
-                    }
-                }
-            }
-
-            epoch.policy = current;
-            sim.setPolicy(current, t);
+            const double decide_start =
+                _config.recordDecisionTime ? monotonicMicros() : 0.0;
+            const bool decided = slot.decide(predicted);
+            sim.setPolicy(slot.begin(result.epochs.size(), t, predicted),
+                          t);
+            if (_config.recordDecisionTime && decided)
+                slot.report().decisionMicros =
+                    monotonicMicros() - decide_start;
         }
 
         // ---- Run the minute ----
@@ -309,7 +106,8 @@ SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
         double minute_demand = 0.0;
         while (has_pending && pending.arrival < minute_end) {
             sim.offerJob(pending);
-            epoch_jobs.push_back(pending);
+            slot.logJob(pending);
+            slot.addDemand(pending.size, 1);
             minute_demand += pending.size;
             has_pending = source.next(pending);
         }
@@ -324,10 +122,8 @@ SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
     const double horizon =
         std::max(trace.duration(), sim.nextFreeTime());
     sim.advanceTo(horizon);
-    epoch.stats = sim.harvestWindow();
-    epoch.measuredUtilization = windowLoad(
-        epoch_jobs, static_cast<double>(epoch_len) * secondsPerMinute);
-    result.epochs.push_back(epoch);
+    slot.close(sim.harvestWindow());
+    result.epochs.push_back(slot.report());
 
     for (const EpochReport &report : result.epochs)
         result.total.merge(report.stats);

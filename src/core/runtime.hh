@@ -6,18 +6,20 @@
  *
  *  1. At each epoch boundary, forecast the utilization of the upcoming
  *     epoch's first minute with a pluggable predictor.
- *  2. Rescale the previous epoch's logged job events to the forecast
- *     offered load and hand them to the policy manager, which simulates
- *     every candidate policy and picks the cheapest QoS-feasible one.
+ *  2. Rescale the job events logged over the last historyEpochs epochs
+ *     (capped at evalLogCap) to the forecast offered load and hand them
+ *     to the policy manager, which simulates every candidate policy and
+ *     picks the cheapest QoS-feasible one.
  *  3. Apply the over-provisioning guard band: if the epoch just past met
  *     its delay budget, raise the chosen frequency by a factor (1 + α) —
  *     headroom against unpredicted surges (Section 5.2.3).
  *  4. Run the epoch under the chosen policy; backlog carries across
  *     epoch boundaries.
  *
- * Fixed-policy strategies (race-to-halt) run through the same loop with
- * the decision step pinned, so every comparison in the Figure 8-10
- * benches shares identical accounting.
+ * Steps 2 and 3 run in the DecisionSlot FarmRuntime shares
+ * (core/decision_slot.hh). Fixed-policy strategies (race-to-halt) run
+ * through the same loop with the decision step pinned, so every
+ * comparison in the Figure 8-10 benches shares identical accounting.
  */
 
 #ifndef SLEEPSCALE_CORE_RUNTIME_HH
@@ -96,6 +98,10 @@ struct RuntimeConfig
                          SleepPlan::immediate(LowPowerState::C0IdleS0Idle)};
 };
 
+/** Whether a harvested window met the QoS budget. An empty window has
+ * no response statistic, so it never does. */
+bool windowWithinBudget(const QosConstraint &qos, const SimStats &stats);
+
 /** Per-epoch record of what the runtime decided and what happened. */
 struct EpochReport
 {
@@ -135,8 +141,9 @@ struct RuntimeResult
     /** Whole-run average power, watts. */
     double avgPower() const { return total.avgPower(); }
 
-    /** Whether the whole-run QoS statistic met its budget. */
-    bool withinBudget() const { return qos.satisfiedBy(total); }
+    /** Whether the whole-run QoS statistic met its budget (never for a
+     * run that completed nothing; see windowWithinBudget). */
+    bool withinBudget() const { return windowWithinBudget(qos, total); }
 
     /**
      * Fraction of decided epochs whose selected plan bottoms out in each
@@ -193,39 +200,17 @@ class SleepScaleRuntime
     /** The QoS constraint derived from the configuration. */
     const QosConstraint &qos() const { return _qos; }
 
-    /** The search-based policy manager driving per-epoch decisions
-     * (null for fixed-policy and controller configurations).
-     * Persistent across epochs and runs, so the engine's
-     * materialized-plan cache and arenas are built once per runtime,
-     * not once per decision. */
-    const PolicyManager *manager() const { return _searchManager; }
-
-    /** The per-epoch decider — the search manager or the feedback
-     * controller (null for fixed-policy configurations). */
-    const EpochDecider *decider() const { return _manager.get(); }
-
   private:
     const PlatformModel &_platform;
     WorkloadSpec _spec;
     RuntimeConfig _config;
     QosConstraint _qos;
 
-    /** Persistent decider (see manager()/decider()). Its internal
-     * state mutates during decisions, so concurrent run() calls on
-     * one runtime instance are not safe. */
-    std::unique_ptr<EpochDecider> _manager;
-
-    /** _manager, when it is the search path (see manager()). */
-    PolicyManager *_searchManager = nullptr;
-
-    /**
-     * Rebuild recently logged job events as an evaluation log with the
-     * offered load rescaled to the predicted utilization. Gaps between
-     * consecutive logged arrivals are preserved in shape and scaled so
-     * the log's offered load matches the prediction.
-     */
-    std::vector<Job> buildEvalLog(const std::vector<Job> &history,
-                                  double predicted) const;
+    /** Persistent decider (null under a fixed policy), so the search
+     * engine's plan cache and arenas are built once per runtime, not
+     * once per decision. Decisions mutate it, so concurrent run()
+     * calls on one runtime instance are not safe. */
+    std::unique_ptr<EpochDecider> _decider;
 };
 
 } // namespace sleepscale

@@ -5,7 +5,7 @@
 #include <deque>
 #include <functional>
 
-#include "control/controller_manager.hh"
+#include "core/decision_slot.hh"
 #include "core/policy_manager.hh"
 #include "farm/rate_scaler.hh"
 #include "util/error.hh"
@@ -222,137 +222,6 @@ class FaultDriver
     std::function<void(const Job &, std::size_t)> _onAdmit;
 };
 
-/**
- * Rebuild a logged job history as an evaluation log whose offered load
- * equals the predicted per-server utilization: gaps between consecutive
- * logged arrivals keep their shape and are scaled uniformly so
- * demand / span lands on the (clamped) prediction. Returns an empty log
- * when the history is too thin or degenerate to characterize (fewer
- * than two jobs, zero span, or zero demand).
- */
-std::vector<Job>
-rescaleHistoryToPrediction(const std::vector<Job> &history,
-                           double predicted)
-{
-    std::vector<Job> log;
-    if (history.size() < 2)
-        return log;
-    const double span = history.back().arrival - history.front().arrival;
-    double demand = 0.0;
-    for (std::size_t i = 1; i < history.size(); ++i)
-        demand += history[i].size;
-    if (span <= 0.0 || demand <= 0.0)
-        return log;
-
-    const double measured = demand / span;
-    const double target = std::clamp(predicted, 0.01, 0.99);
-    const double gap_scale = measured / target;
-    log.reserve(history.size());
-    double clock =
-        span / static_cast<double>(history.size() - 1) * gap_scale;
-    log.push_back({clock, history.front().size});
-    for (std::size_t i = 1; i < history.size(); ++i) {
-        clock += (history[i].arrival - history[i - 1].arrival) *
-                 gap_scale;
-        log.push_back({clock, history[i].size});
-    }
-    return log;
-}
-
-/**
- * Close a rolling history's epoch: keep the jobs of the last `epochs`
- * epochs, then only the most recent `cap` of them, deducting dropped
- * jobs from the oldest epochs' counts (the single-server rule).
- */
-void
-trimHistory(std::vector<Job> &history, std::deque<std::size_t> &counts,
-            std::size_t epochs, std::size_t cap)
-{
-    std::size_t logged = 0;
-    for (std::size_t count : counts)
-        logged += count;
-    counts.push_back(history.size() - logged);
-    std::size_t drop = 0;
-    for (; counts.size() > epochs; counts.pop_front())
-        drop += counts.front();
-    if (history.size() - drop > cap) {
-        std::size_t excess = history.size() - drop - cap;
-        drop += excess;
-        while (excess > 0) {
-            const std::size_t take = std::min(excess, counts.front());
-            counts.front() -= take;
-            excess -= take;
-            if (counts.front() == 0)
-                counts.pop_front();
-        }
-    }
-    history.erase(history.begin(),
-                  history.begin() + static_cast<std::ptrdiff_t>(drop));
-}
-
-/** Whether a harvested window (an epoch's, or a server's whole-run
- * total) met the QoS budget. An empty window never qualifies: it has
- * no response statistic, so it neither arms the over-provisioning
- * boost nor counts as budget-compliant in reports. */
-bool
-windowWithinBudget(const QosConstraint &qos, const SimStats &stats)
-{
-    return stats.completions > 0 && qos.satisfiedBy(stats);
-}
-
-/** Raise a decided policy's frequency by (1 + α) when the previous
- * epoch met its budget (Section 5.2.3). Returns whether it boosted. */
-bool
-applyOverProvision(Policy &policy, double alpha, bool last_within)
-{
-    if (alpha <= 0.0 || !last_within)
-        return false;
-    const double boosted =
-        std::min(1.0, policy.frequency * (1.0 + alpha));
-    if (boosted <= policy.frequency)
-        return false;
-    policy.frequency = boosted;
-    return true;
-}
-
-/**
- * One decider's share of the epoch loop. Farm-wide control runs one
- * slot over every server; per-server and distributed control run one
- * slot per server. Slot s logs the jobs admitted to server s.
- */
-struct DecisionSlot
-{
-    /** Rolling log of the log server's jobs (log-based deciders) and
-     * its job count per closed epoch. */
-    std::vector<Job> history;
-    std::deque<std::size_t> historyCounts;
-
-    /** Outage starvation: jobs ever logged (a trimmed log must not
-     * read as "no new jobs"), their count and the log server's
-     * downtime at the last decision, and the verdict for this one. */
-    std::uint64_t logged = 0;
-    std::uint64_t loggedMark = 0;
-    double downMark = 0.0;
-    bool starved = false;
-
-    /** Scalar observations of the closed epoch (log-free deciders),
-     * built from the demand and job count measured over it. */
-    EpochObservation observation;
-    double demand = 0.0;
-    std::uint64_t jobs = 0;
-
-    /** The policy in force. */
-    Policy current;
-
-    /** This epoch's report; its stats hold the slot's closed window
-     * until the next decision resets the report. */
-    EpochReport report;
-
-    /** The fan-out's result for this epoch. */
-    GuardedDecision decision;
-    bool decided = false;
-};
-
 } // namespace
 
 double
@@ -423,16 +292,11 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
                          const WorkloadSpec &spec,
                          FarmRuntimeConfig config)
     : _platform(platform), _spec(spec), _config(std::move(config)),
-      _qos(_config.perServer.qosMetric == QosMetric::MeanResponse
-               ? QosConstraint::fromBaselineMean(_config.perServer.rhoB,
-                                                 spec.serviceMean)
-               : QosConstraint::fromBaselineTail(_config.perServer.rhoB,
-                                                 spec.serviceMean))
+      _qos(deriveQos(_config.perServer, spec))
 {
     fatalIf(_config.farmSize == 0,
             "FarmRuntime: farm size must be >= 1");
-    fatalIf(_config.perServer.epochMinutes == 0,
-            "FarmRuntime: epochMinutes must be positive");
+    validateRuntimeConfig(_config.perServer, "FarmRuntime");
     fatalIf(_config.control != "farm-wide" &&
                 _config.control != "per-server" &&
                 _config.control != "distributed",
@@ -502,37 +366,25 @@ FarmRuntime::FarmRuntime(const PlatformModel &platform,
         // One persistent decider per decision slot: the search manager
         // (with its eval engine), the O(1) feedback controller, or the
         // distributed rate scaler.
-        const auto make_decider =
-            [this](const PlatformModel &server_platform)
-            -> std::unique_ptr<EpochDecider> {
-            if (_config.control == "distributed") {
-                // Zero-communication local rate scaling (Rutten-style,
-                // farm/rate_scaler.hh): every server tracks its own
-                // offered load; the target anchors at the QoS design
-                // point ρ_b, and the sleep plan is pinned to the
-                // initial policy's.
-                RateScalerOptions options;
-                options.targetUtilization = _config.perServer.rhoB;
-                return std::make_unique<DistributedRateScaler>(
-                    _config.perServer.space.frequencies, _spec.scaling,
-                    _config.perServer.initialPolicy, options);
-            }
-            if (_config.perServer.controller) {
-                return std::make_unique<ControllerManager>(
-                    server_platform, _spec.scaling,
-                    _config.perServer.space, _qos,
-                    *_config.perServer.controller,
-                    _config.perServer.initialPolicy);
-            }
-            return std::make_unique<PolicyManager>(
-                server_platform, _spec.scaling, _config.perServer.space,
-                _qos, _config.perServer.search);
-        };
         const std::size_t slots =
             perServerControl() ? _config.farmSize : 1;
         _deciders.reserve(slots);
-        for (std::size_t i = 0; i < slots; ++i)
-            _deciders.push_back(make_decider(*_serverPlatforms[i]));
+        for (std::size_t i = 0; i < slots; ++i) {
+            if (_config.control != "distributed") {
+                _deciders.push_back(makeEpochDecider(
+                    *_serverPlatforms[i], _spec, _config.perServer, _qos));
+                continue;
+            }
+            // Zero-communication local rate scaling (Rutten-style,
+            // farm/rate_scaler.hh): every server tracks its own offered
+            // load; the target anchors at the QoS design point ρ_b, and
+            // the sleep plan is pinned to the initial policy's.
+            RateScalerOptions options;
+            options.targetUtilization = _config.perServer.rhoB;
+            _deciders.push_back(std::make_unique<DistributedRateScaler>(
+                _config.perServer.space.frequencies, _spec.scaling,
+                _config.perServer.initialPolicy, options));
+        }
     }
 }
 
@@ -601,6 +453,7 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
         static_cast<double>(epoch_len) * secondsPerMinute;
     const bool fixed =
         static_cast<bool>(_config.perServer.fixedPolicy);
+    const bool record_decisions = _config.perServer.recordDecisionTime;
 
     // Farm-wide control is one shared decision slot over every server,
     // fed from server 0's log; per-server and distributed control give
@@ -634,19 +487,11 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     }
     FaultDriver faults(farm, _config);
 
-    // Only log-based deciders pay for job logs (needs_log) and only
-    // the log-free ones (the O(1) controller, the rate scaler) pay for
-    // the scalar observations (track_observations). Fixed-policy runs
-    // never decide, so the stream passes through in O(1) job memory.
-    const bool needs_log = !fixed && _deciders.front()->needsLog();
-    const bool track_observations = !fixed && !needs_log;
-    const bool record_decisions = _config.perServer.recordDecisionTime;
-
-    std::vector<DecisionSlot> slots(slot_count);
-    for (DecisionSlot &slot : slots) {
-        slot.current = _config.perServer.initialPolicy;
-        slot.report.policy = slot.current;
-    }
+    std::vector<DecisionSlot> slots;
+    slots.reserve(slot_count);
+    for (std::size_t s = 0; s < slot_count; ++s)
+        slots.emplace_back(_config.perServer, _qos,
+                           fixed ? nullptr : _deciders[s].get(), members);
 
     // Each slot logs exactly the jobs admitted to its log server: a
     // per-server slot its own local view, the shared slot server 0's,
@@ -655,17 +500,12 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     // shape and bias the decision optimistic). Failover re-admissions
     // join at their re-dispatch time, like any other routed job.
     const auto log_admission = [&](const Job &job, std::size_t server) {
-        if (fixed || (shared && server != 0))
+        if (shared && server != 0)
             return;
-        DecisionSlot &slot = slots[server];
-        if (needs_log)
-            slot.history.push_back(job);
-        ++slot.logged;
+        slots[server].logJob(job);
         // The shared slot measures offered demand instead (below).
-        if (track_observations && !shared) {
-            slot.demand += job.size;
-            ++slot.jobs;
-        }
+        if (!shared)
+            slots[server].addDemand(job.size, 1);
     };
     faults.setAdmitHook(log_admission);
 
@@ -686,28 +526,30 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
     std::uint64_t degraded_epochs = 0;
     double degraded_seconds = 0.0;
 
-    // Close the epoch: attribute per-server windows, give each slot's
-    // report its window (the farm-merged one for the shared slot), push
+    // Close the epoch: attribute per-server windows, close each slot
+    // over its window (the farm-merged one for the shared slot), push
     // the farm view (slot 0's report over the merged window) and
     // snapshot the cumulative availability-plane counters.
     auto closeEpoch = [&](const std::vector<SimStats> &windows,
                           double now) {
         for (std::size_t i = 0; i < size; ++i)
             result.servers[i].total.merge(windows[i]);
-        EpochReport merged = slots.front().report;
-        merged.stats = ServerFarm::mergeWindows(windows);
+        SimStats merged_stats = ServerFarm::mergeWindows(windows);
+        bool degraded = false;
         for (std::size_t s = 0; s < slot_count; ++s) {
-            DecisionSlot &slot = slots[s];
-            slot.report.stats = shared ? merged.stats : windows[s];
-            merged.degraded = merged.degraded || slot.report.degraded;
+            slots[s].close(shared ? merged_stats : windows[s]);
+            degraded = degraded || slots[s].report().degraded;
             // Per-server epoch streams are O(farm x epochs) memory;
             // scale runs keep only the running totals.
             if (!shared && _config.serverEpochReports)
-                result.servers[s].epochs.push_back(slot.report);
+                result.servers[s].epochs.push_back(slots[s].report());
         }
-        result.epochs.push_back(merged);
+        EpochReport merged = slots.front().report();
+        merged.stats = std::move(merged_stats);
+        merged.degraded = degraded;
+        result.epochs.push_back(std::move(merged));
 
-        cum_completed += merged.stats.completions;
+        cum_completed += result.epochs.back().stats.completions;
         FarmFaultStats snap = faults.stats();
         snap.completed = cum_completed;
         snap.inFlight =
@@ -734,138 +576,46 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
             const std::size_t epoch_index = result.epochs.size();
             const double predicted =
                 std::clamp(predictor.predict(minute), 0.0, 1.0);
-            const bool faults_active = faults.active();
-
-            for (std::size_t s = 0; s < slot_count; ++s) {
-                DecisionSlot &slot = slots[s];
-                // Outage starvation: downtime accrued on the log server
-                // since the slot's previous decision with no new jobs
-                // logged. The rolling history then only holds
-                // pre-outage jobs, which must not be dressed up as a
-                // fresh decision, so the guarded path degrades (a log
-                // merely warming up, with no downtime, does not).
-                if (faults_active) {
-                    const double down = farm.downSeconds(s);
-                    slot.starved = down > slot.downMark &&
-                                   slot.logged == slot.loggedMark;
-                    slot.downMark = down;
-                    slot.loggedMark = slot.logged;
-                }
-                // Scalar observations of the just-closed epoch for the
-                // log-free deciders (core/epoch_decider.hh).
-                if (track_observations) {
-                    EpochObservation &obs = slot.observation;
-                    const SimStats &window = slot.report.stats;
-                    obs.predictedUtilization = predicted;
-                    obs.measuredUtilization =
-                        minute > 0
-                            ? slot.demand /
-                                  (window_seconds *
-                                   static_cast<double>(members))
-                            : 0.0;
-                    obs.hasMeasurement =
-                        minute > 0 && window.completions > 0;
-                    obs.measuredQos = obs.hasMeasurement
-                                          ? _qos.measuredValue(window)
-                                          : 0.0;
-                    obs.meanJobSize =
-                        slot.jobs > 0 ? slot.demand /
-                                            static_cast<double>(slot.jobs)
-                                      : 0.0;
-                    obs.faultStarved = faults_active && slot.starved;
-                    obs.applied = slot.current;
-                    slot.demand = 0.0;
-                    slot.jobs = 0;
-                }
+            // Guarded decisions (docs/FAULTS.md): a starved or
+            // infeasible one lands on the safe fixed policy for every
+            // server of its slot.
+            const Policy *fallback = nullptr;
+            if (faults.active()) {
+                fallback = &_config.degradedPolicy;
+                for (std::size_t s = 0; s < slot_count; ++s)
+                    slots[s].observeDowntime(farm.downSeconds(s));
             }
 
             // Fan the slot decisions out across the pool. Each lane
-            // touches only its own slot's history, observation and
-            // decider; results land by slot index and are applied in
-            // index order below, so any pool width is bit-identical to
-            // serial.
+            // touches only its own slot and decider; the decisions are
+            // applied in slot-index order below, so any pool width is
+            // bit-identical to serial.
             double fanout_micros = 0.0;
             if (!fixed) {
                 const double fanout_start =
                     record_decisions ? monotonicMicros() : 0.0;
                 decision_pool->parallelFor(
                     slot_count, [&](std::size_t s, std::size_t) {
-                        DecisionSlot &slot = slots[s];
-                        slot.decided = false;
-                        const bool starved = faults_active && slot.starved;
-                        // Rescale the log to the predicted per-server
-                        // load (shape-preserving gap scaling, as in the
-                        // single-server runtime's buildEvalLog).
-                        std::vector<Job> log;
-                        if (needs_log && minute > 0)
-                            trimHistory(slot.history, slot.historyCounts,
-                                        _config.perServer.historyEpochs,
-                                        _config.perServer.evalLogCap);
-                        if (needs_log && !starved)
-                            log = rescaleHistoryToPrediction(
-                                slot.history, predicted);
-                        // A log-based decider waits for a log it can
-                        // characterize (or a starved window to degrade
-                        // on); a log-free one for a closed epoch.
-                        if (needs_log ? log.empty() && !starved
-                                      : minute == 0)
-                            return;
-                        if (faults_active) {
-                            // Guarded path (docs/FAULTS.md): starved or
-                            // infeasible lands on the safe fixed policy
-                            // for every server of this slot.
-                            slot.decision = _deciders[s]->decideGuarded(
-                                slot.observation, log,
-                                _config.degradedPolicy);
-                        } else {
-                            slot.decision.decision = _deciders[s]->decide(
-                                slot.observation, log);
-                        }
-                        slot.decided = true;
+                        slots[s].decide(predicted, fallback);
                     });
                 if (record_decisions)
                     fanout_micros = monotonicMicros() - fanout_start;
             }
 
             for (std::size_t s = 0; s < slot_count; ++s) {
-                DecisionSlot &slot = slots[s];
-                EpochReport &epoch = slot.report;
-                // Whether the closed window met the budget arms the
-                // over-provisioning boost (an empty window does not).
-                const bool last_within =
-                    windowWithinBudget(_qos, epoch.stats);
-                epoch = EpochReport{};
-                epoch.index = epoch_index;
-                epoch.startTime = t;
-                epoch.predictedUtilization = predicted;
-                // The representative report (the farm view copies slot
-                // 0's fields) carries the whole fan-out's wall time:
-                // the farm's per-epoch decision cost.
-                if (s == 0)
-                    epoch.decisionMicros = fanout_micros;
-                if (fixed) {
-                    slot.current = *_config.perServer.fixedPolicy;
-                    epoch.decided = true;
-                    epoch.feasible = true;
-                } else if (slot.decided) {
-                    slot.current = slot.decision.decision.policy;
-                    epoch.feasible = slot.decision.decision.feasible;
-                    epoch.decided = true;
-                    epoch.degraded = slot.decision.degraded;
-                    if (epoch.degraded) {
-                        degraded_epochs += members;
-                        degraded_seconds +=
-                            window_seconds * static_cast<double>(members);
-                    } else {
-                        epoch.boosted = applyOverProvision(
-                            slot.current, _config.perServer.overProvision,
-                            last_within);
-                    }
+                slots[s].begin(epoch_index, t, predicted);
+                if (slots[s].report().degraded) {
+                    degraded_epochs += members;
+                    degraded_seconds +=
+                        window_seconds * static_cast<double>(members);
                 }
-                epoch.policy = slot.current;
             }
+            // The representative report (the farm view copies slot 0's
+            // fields) carries the whole fan-out's wall time: the farm's
+            // per-epoch decision cost.
+            slots.front().report().decisionMicros = fanout_micros;
             for (std::size_t i = 0; i < size; ++i)
-                farm.setPolicy(i, slots[shared ? 0 : i].current, t);
+                farm.setPolicy(i, slots[shared ? 0 : i].report().policy, t);
         }
 
         const double minute_end = t + secondsPerMinute;
@@ -884,10 +634,8 @@ FarmRuntime::run(JobSource &source, const UtilizationTrace &trace,
         }
         // The shared slot measures the farm's offered demand, parked
         // jobs included, summed per minute.
-        if (shared && track_observations) {
-            slots.front().demand += minute_demand;
-            slots.front().jobs += minute_jobs;
-        }
+        if (shared)
+            slots.front().addDemand(minute_demand, minute_jobs);
         faults.catchUp(minute_end);
         farm.advanceTo(minute_end);
 

@@ -284,12 +284,9 @@ struct FarmRuntimeResult
     /** Whole-run farm power, watts. */
     double avgPower() const { return total.avgPower(); }
 
-    /** Whether the pooled response statistic met the budget. A farm
-     * that completed nothing has no such statistic and does not. */
-    bool withinBudget() const
-    {
-        return total.completions > 0 && qos.satisfiedBy(total);
-    }
+    /** Whether the pooled response statistic met the budget (never for
+     * a farm that completed nothing; see windowWithinBudget). */
+    bool withinBudget() const { return windowWithinBudget(qos, total); }
 };
 
 /** Runs SleepScale over a dispatched farm. */

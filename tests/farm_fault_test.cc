@@ -634,6 +634,38 @@ hashEpochStream(std::uint64_t &hash, const std::vector<EpochReport> &epochs)
     }
 }
 
+/** Run a pin scenario through FarmRuntime directly. */
+FarmRuntimeResult
+runPin(const ScenarioSpec &spec)
+{
+    const WorkloadSpec workload = workloadByName(spec.workload);
+    const PlatformModel platform = platformByName(spec.platform);
+    FarmRuntimeConfig config;
+    config.farmSize = spec.farmSize;
+    config.dispatcher = spec.dispatcher;
+    config.packingSpillBacklog = spec.packingSpillBacklog;
+    config.dispatchSeed = mixSeed(spec.seed);
+    config.control = spec.farmControl;
+    config.platforms = spec.farmPlatforms;
+    config.decisionThreads = spec.decisionThreads;
+    StrategyKnobs knobs;
+    knobs.epochMinutes = spec.epochMinutes;
+    knobs.overProvision = spec.overProvision;
+    knobs.rhoB = spec.rhoB;
+    knobs.qosMetric = spec.qosMetric;
+    knobs.searchThreads = spec.searchThreads;
+    knobs.prunedSearch = spec.prunedSearch;
+    config.perServer = strategyConfigByName(spec.strategy, knobs);
+
+    const UtilizationTrace trace = spec.trace.realize();
+    FarmRuntime runtime(platform, workload, config);
+    const auto source =
+        makeFarmSource(workload, trace, spec.farmSize, spec.seed);
+    const auto predictor = makePredictor(
+        spec.predictor, spec.predictorHistory, trace.values());
+    return runtime.run(*source, trace, *predictor);
+}
+
 TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
 {
     // Whole-run totals can mask compensating decision changes; this
@@ -664,33 +696,7 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
     for (const auto &pin : decisionPins) {
         const ScenarioSpec spec =
             pinSpec(pin.workload, pin.control, pin.strategy);
-        const WorkloadSpec workload = workloadByName(spec.workload);
-        const PlatformModel platform = platformByName(spec.platform);
-        FarmRuntimeConfig config;
-        config.farmSize = spec.farmSize;
-        config.dispatcher = spec.dispatcher;
-        config.packingSpillBacklog = spec.packingSpillBacklog;
-        config.dispatchSeed = mixSeed(spec.seed);
-        config.control = spec.farmControl;
-        config.platforms = spec.farmPlatforms;
-        config.decisionThreads = spec.decisionThreads;
-        StrategyKnobs knobs;
-        knobs.epochMinutes = spec.epochMinutes;
-        knobs.overProvision = spec.overProvision;
-        knobs.rhoB = spec.rhoB;
-        knobs.qosMetric = spec.qosMetric;
-        knobs.searchThreads = spec.searchThreads;
-        knobs.prunedSearch = spec.prunedSearch;
-        config.perServer = strategyConfigByName(spec.strategy, knobs);
-
-        const UtilizationTrace trace = spec.trace.realize();
-        FarmRuntime runtime(platform, workload, config);
-        const auto source =
-            makeFarmSource(workload, trace, spec.farmSize, spec.seed);
-        const auto predictor = makePredictor(
-            spec.predictor, spec.predictorHistory, trace.values());
-        const FarmRuntimeResult result =
-            runtime.run(*source, trace, *predictor);
+        const FarmRuntimeResult result = runPin(spec);
 
         std::uint64_t hash = 1469598103934665603ull;
         hashEpochStream(hash, result.epochs);
@@ -711,6 +717,39 @@ TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
         EXPECT_DOUBLE_EQ(result.faults.availability(spec.farmSize), 1.0);
         EXPECT_DOUBLE_EQ(result.faults.goodput(), 1.0);
         expectConservation(result);
+    }
+}
+
+TEST(MeasuredDemandPin, EveryEpochsMeasuredLoadBitForBit)
+{
+    // The decision pins cannot see how a slot's measured demand rounds:
+    // the deciders quantize their inputs. These pins hash each epoch's
+    // measuredUtilization itself: the farm view's and, under
+    // per-server control, every server's. The shared slot sums the
+    // farm's offered demand per minute, parked jobs included; a
+    // per-server slot sums its admitted jobs one by one.
+    const struct
+    {
+        const char *workload;
+        const char *control;
+        std::uint64_t hash;
+    } pins[] = {
+        {"dns", "farm-wide", 9135357846063588815ull},
+        {"dns", "per-server", 8730468032223455401ull},
+        {"mail", "farm-wide", 17405060720178194582ull},
+        {"mail", "per-server", 5103780979430901951ull},
+    };
+    for (const auto &pin : pins) {
+        const FarmRuntimeResult result =
+            runPin(pinSpec(pin.workload, pin.control));
+        std::uint64_t hash = 1469598103934665603ull;
+        for (const EpochReport &epoch : result.epochs)
+            fnvMix(hash, doubleBits(epoch.measuredUtilization));
+        for (const FarmServerReport &server : result.servers) {
+            for (const EpochReport &epoch : server.epochs)
+                fnvMix(hash, doubleBits(epoch.measuredUtilization));
+        }
+        EXPECT_EQ(hash, pin.hash) << pin.workload << "/" << pin.control;
     }
 }
 

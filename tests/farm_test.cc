@@ -396,6 +396,30 @@ TEST(FarmRuntime, ValidationGuards)
                  ConfigError);
 }
 
+TEST(FarmRuntime, ValidatesThePerServerKnobsLikeTheSingleServer)
+{
+    // Both runtimes validate RuntimeConfig with one rule; the farm
+    // used to accept a negative α and a log cap below two jobs.
+    const PlatformModel xeon = PlatformModel::xeon();
+    for (const char *control : {"farm-wide", "per-server"}) {
+        FarmRuntimeConfig negative_alpha;
+        negative_alpha.control = control;
+        negative_alpha.perServer.overProvision = -0.1;
+        EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), negative_alpha),
+                     ConfigError);
+        FarmRuntimeConfig tiny_log;
+        tiny_log.control = control;
+        tiny_log.perServer.evalLogCap = 1;
+        EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), tiny_log),
+                     ConfigError);
+        FarmRuntimeConfig no_history;
+        no_history.control = control;
+        no_history.perServer.historyEpochs = 0;
+        EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), no_history),
+                     ConfigError);
+    }
+}
+
 TEST(FarmRuntime, MillionJobDayStreamsInBoundedMemory)
 {
     // The acceptance bar for the streaming API: a seven-figure job

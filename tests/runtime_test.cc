@@ -196,10 +196,30 @@ TEST_F(RuntimeTest, ValidationRejectsBadConfig)
     tiny_log.evalLogCap = 1;
     EXPECT_THROW(SleepScaleRuntime(xeon, dns, tiny_log), ConfigError);
 
+    RuntimeConfig negative_alpha;
+    negative_alpha.overProvision = -0.1;
+    EXPECT_THROW(SleepScaleRuntime(xeon, dns, negative_alpha), ConfigError);
+
+    RuntimeConfig no_history;
+    no_history.historyEpochs = 0;
+    EXPECT_THROW(SleepScaleRuntime(xeon, dns, no_history), ConfigError);
+
     const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
     NaivePreviousPredictor predictor;
     EXPECT_THROW(runtime.run({}, UtilizationTrace{}, predictor),
                  ConfigError);
+}
+
+TEST_F(RuntimeTest, EmptyRunIsNotWithinBudget)
+{
+    // A run that completed nothing has no response statistic to meet
+    // the budget with (the farm's rule too).
+    const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
+    NaivePreviousPredictor predictor;
+    const RuntimeResult result =
+        runtime.run(std::vector<Job>{}, flatTrace(20, 0.0), predictor);
+    EXPECT_EQ(result.total.completions, 0u);
+    EXPECT_FALSE(result.withinBudget());
 }
 
 TEST_F(RuntimeTest, BacklogCarriesAcrossEpochs)
