@@ -1,6 +1,7 @@
 #include "core/decision_slot.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "control/controller_manager.hh"
 #include "util/error.hh"
@@ -180,7 +181,7 @@ const Policy &
 DecisionSlot::begin(std::size_t index, double start, double predicted)
 {
     const bool last_within = windowWithinBudget(_qos, _report.stats);
-    Policy policy = _report.policy;
+    Policy policy = std::move(_report.policy);
     _report = EpochReport{};
     _report.index = index;
     _report.startTime = start;
