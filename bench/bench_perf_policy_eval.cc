@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "analytic/mm1_sleep.hh"
 #include "core/eval_engine.hh"
@@ -88,27 +89,32 @@ BM_PolicyManagerDecision(benchmark::State &state)
 }
 BENCHMARK(BM_PolicyManagerDecision);
 
-/** One allocation-free reset-and-replay candidate evaluation over a
- * prepared 10k-job log — the engine's per-candidate inner kernel. */
+/** Every PolicySpace::standard() candidate replayed over a prepared
+ * 10k-job log in one pass of the engine's interleaved kernel (serial);
+ * items are candidate-jobs. */
 void
-BM_PreparedReplay10k(benchmark::State &state)
+BM_ReplayKernel10k(benchmark::State &state)
 {
     const PlatformModel xeon = PlatformModel::xeon();
     const PreparedLog log = PreparedLog::fromJobs(benchJobs(10000));
-    const Policy policy{0.7, SleepPlan::immediate(LowPowerState::C6S3)};
-    const MaterializedPlan plan(policy.plan, xeon, policy.frequency);
-    ServerSim arena(xeon, ServiceScaling::cpuBound(), policy);
+    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
+                            PolicySpace::standard(), benchQos());
+    std::vector<std::uint32_t> candidates(engine.space().size());
+    std::iota(candidates.begin(), candidates.end(), 0u);
+    std::vector<CandidateOutcome> outcomes(candidates.size());
     for (auto _ : state) {
-        arena.reset(policy.frequency, plan);
-        benchmark::DoNotOptimize(arena.replay(log));
+        engine.characterize(log, candidates, outcomes);
+        benchmark::DoNotOptimize(outcomes.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(candidates.size()) *
                             10000);
 }
-BENCHMARK(BM_PreparedReplay10k);
+BENCHMARK(BM_ReplayKernel10k);
 
 /** Full policy-space selection over a 10k-job log through the batched
- * engine (plan cache + reset-and-replay arenas), serial. The headline
+ * engine (plan cache + interleaved replay kernel), serial. The headline
  * number: compare against BM_SelectFromLogNaive, the pre-engine path. */
 void
 BM_SelectFromLog(benchmark::State &state)

@@ -28,12 +28,17 @@ validateRuntimeConfig(const RuntimeConfig &config, const std::string &owner)
 }
 
 QosConstraint
+deriveQos(QosMetric metric, double rho_b, const WorkloadSpec &spec)
+{
+    if (metric == QosMetric::MeanResponse)
+        return QosConstraint::fromBaselineMean(rho_b, spec.serviceMean);
+    return QosConstraint::fromBaselineTail(rho_b, spec.serviceMean);
+}
+
+QosConstraint
 deriveQos(const RuntimeConfig &config, const WorkloadSpec &spec)
 {
-    if (config.qosMetric == QosMetric::MeanResponse)
-        return QosConstraint::fromBaselineMean(config.rhoB,
-                                               spec.serviceMean);
-    return QosConstraint::fromBaselineTail(config.rhoB, spec.serviceMean);
+    return deriveQos(config.qosMetric, config.rhoB, spec);
 }
 
 std::unique_ptr<EpochDecider>

@@ -30,6 +30,11 @@ namespace sleepscale {
 void validateRuntimeConfig(const RuntimeConfig &config,
                            const std::string &owner);
 
+/** The paper's baseline-derived constraint on `metric` for a system
+ * provisioned at peak utilization ρ_b (Section 5.1.1). */
+QosConstraint deriveQos(QosMetric metric, double rho_b,
+                        const WorkloadSpec &spec);
+
 /** The QoS constraint a configuration sets for a workload. */
 QosConstraint deriveQos(const RuntimeConfig &config,
                         const WorkloadSpec &spec);

@@ -10,25 +10,38 @@
  *     materialized against the platform once at construction — the
  *     policy space is static, so per-epoch selections reuse it instead
  *     of re-binding every candidate every epoch.
- *  2. Reusable simulation arenas: one ServerSim per pool lane, driven
- *     through the reset-and-replay path over a PreparedLog, so a
- *     candidate evaluation performs zero heap allocation.
- *  3. Parallel candidate fan-out on a shared ThreadPool with outcomes
- *     stored by candidate index and reduced in index order, so a
- *     parallel selection bit-matches the serial one.
+ *  2. One candidate-interleaved replay kernel: for each job the kernel
+ *     loads the arrival and size once and steps every candidate of the
+ *     batch through the same floating-point operations as a ServerSim
+ *     streaming the log, keeping only what a selection reads (energy,
+ *     the last departure, the mean response, and the response
+ *     histogram under a tail constraint). The candidates' loop-carried
+ *     chains (queue-empties time, Welford mean) are independent, so
+ *     they overlap instead of serializing one replay after another.
+ *     The kernel's stage tables, lane states and histograms are engine
+ *     scratch, so a search over a prepared log allocates nothing after
+ *     the first (the returned policy still copies its sleep plan).
+ *  3. Parallel candidate fan-out on a shared ThreadPool: each lane
+ *     replays one contiguous chunk of the candidates through its own
+ *     kernel scratch, outcomes are stored by candidate index and
+ *     reduced in index order, so a parallel selection bit-matches the
+ *     serial one.
  *  4. An opt-in pruned mode that exploits the QoS metric's (typical)
  *     monotonicity in frequency: per plan, the cheapest feasible
  *     frequency boundary is binary-searched and only the feasible
- *     suffix is characterized for power. When nothing is feasible the
- *     engine falls back to the exhaustive scan so the best-effort
- *     decision is still identical to exhaustive search.
+ *     suffix is characterized for power. The per-plan binary searches
+ *     run in lockstep, one kernel batch of probes per step. When
+ *     nothing is feasible the engine falls back to the exhaustive scan
+ *     so the best-effort decision is still identical to exhaustive
+ *     search.
  *
  * An engine instance is NOT thread-safe: it owns per-call scratch state.
  * Use one engine per concurrently running controller. Internally the
  * fan-out shares state without locks by construction — each lane owns
- * one simulation arena exclusively for the whole parallelFor, and
- * outcomes land in a candidate-indexed table that is only reduced (in
- * index order) after the fan-out joins. docs/CONCURRENCY.md documents
+ * one kernel scratch exclusively for the whole parallelFor, the lanes
+ * replay disjoint candidate chunks, and outcomes land in a
+ * candidate-indexed table that is only reduced (in index order) after
+ * the fan-out joins. docs/CONCURRENCY.md documents
  * the discipline; the TSan CI job and tools/lint_determinism.py
  * enforce it.
  */
@@ -38,12 +51,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/policy_space.hh"
 #include "core/qos.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
+#include "util/quantile_histogram.hh"
 #include "util/thread_pool.hh"
 #include "workload/job.hh"
 #include "workload/workload_spec.hh"
@@ -68,6 +83,20 @@ struct PolicyDecision
 
     /** Candidates actually characterized (stable ones). */
     std::uint64_t evaluated = 0;
+};
+
+/** What a selection reads of one candidate's replay. */
+struct CandidateOutcome
+{
+    /** Average power from t = 0 to the last departure, watts. */
+    double power = 0.0;
+
+    /** Mean response time, seconds. */
+    double meanResponse = 0.0;
+
+    /** Value of the constrained QoS metric, seconds: the mean response,
+     * or the response percentile under a tail constraint. */
+    double metric = 0.0;
 };
 
 /** Search knobs of a PolicyEvalEngine. */
@@ -117,6 +146,22 @@ class PolicyEvalEngine
     /** selectFromLog() over an already-preprocessed log. */
     PolicyDecision selectFromPrepared(const PreparedLog &log);
 
+    /**
+     * Characterize candidates exactly as a selection does: one
+     * interleaved kernel pass over `log` for the whole list, split into
+     * contiguous chunks over the fan-out pool. Outcomes are
+     * bit-identical for any list split and pool width.
+     *
+     * @param log Preprocessed job log (at least one job).
+     * @param candidates Plan-major candidate indices
+     *        (plan_idx * |frequencies| + freq_idx), each at most once.
+     * @param outcomes Receives the outcome of candidates[k] at k; must
+     *        be as long as `candidates`.
+     */
+    void characterize(const PreparedLog &log,
+                      std::span<const std::uint32_t> candidates,
+                      std::span<CandidateOutcome> outcomes);
+
     /** The candidate space. */
     const PolicySpace &space() const { return _space; }
 
@@ -145,9 +190,38 @@ class PolicyEvalEngine
     /** Characterization of one candidate, stored by candidate index. */
     struct Outcome
     {
-        double power = 0.0;
-        double metric = 0.0;
+        CandidateOutcome value;
         bool evaluated = false;
+    };
+
+    /**
+     * One lane's replay-kernel scratch, sized at construction. The
+     * stage tables are stage-major (entry s * capacity + k holds stage
+     * s of batch slot k), with the unused stages of shorter plans
+     * padded by +inf entry delays, so stage selection is branch-free.
+     */
+    struct KernelScratch
+    {
+        std::vector<double> enterAfter;
+        std::vector<double> cumEnergy;
+        std::vector<double> power;
+        std::vector<double> wake;
+        std::vector<double> factor;      ///< Service-time factor.
+        std::vector<double> activePower; ///< Busy power, watts.
+        std::vector<double> nextFree;    ///< Queue-empties time.
+        std::vector<double> energy;      ///< Joules since t = 0.
+        std::vector<double> mean;        ///< Welford mean response.
+        /** Response histograms, one per slot of a tail pass. */
+        std::vector<QuantileHistogram> tails;
+    };
+
+    /** Per-plan state of the lockstep pruned phase A. */
+    struct BoundarySearch
+    {
+        std::size_t lo = 0;
+        std::size_t hi = 0;
+        std::size_t probe = 0; ///< Frequency index probed this step.
+        bool done = false;
     };
 
     const PlatformModel &_platform;
@@ -160,13 +234,17 @@ class PolicyEvalEngine
      * whole policy space, built once at construction. */
     std::vector<MaterializedPlan> _materialized;
 
-    /** One reusable simulation arena per pool lane. During a fan-out,
-     * arena `i` is touched exclusively by lane `i` (ThreadPool's lane
-     * index is stable for the whole parallelFor), so arenas need no
-     * locks — the machine-checked analogue is the pool's own
-     * GUARDED_BY discipline; the arena discipline is covered by the
-     * TSan CI job. */
-    std::vector<std::unique_ptr<ServerSim>> _arenas;
+    /** Service-time factor and busy power of each frequency. */
+    std::vector<double> _factor;
+    std::vector<double> _activePower;
+
+    /** One kernel scratch per pool lane. During a fan-out, scratch `i`
+     * is touched exclusively by lane `i` (ThreadPool's lane index is
+     * stable for the whole parallelFor), so it needs no lock — the
+     * machine-checked analogue is the pool's own GUARDED_BY
+     * discipline; the scratch discipline is covered by the TSan CI
+     * job. */
+    std::vector<KernelScratch> _scratch;
 
     /** Shared fan-out pool (absent when options.threads == 1). */
     std::unique_ptr<ThreadPool> _pool;
@@ -181,14 +259,21 @@ class PolicyEvalEngine
     /** Per-call candidate list, reused across selections. */
     std::vector<std::uint32_t> _candidates;
 
+    /** Per-call pruned-search state, one entry per plan. */
+    std::vector<BoundarySearch> _boundaries;
+
     std::uint64_t _lifetimeEvaluations = 0;
 
-    void evaluateCandidate(std::size_t index, const PreparedLog &log,
-                           std::size_t lane, bool record_tail);
-    PolicyDecision exhaustiveSearch(const PreparedLog &log, double f_floor,
-                                    bool record_tail);
-    PolicyDecision prunedSearch(const PreparedLog &log, double f_floor,
-                                bool record_tail);
+    template <std::size_t Stages, bool Tail>
+    static void replayPass(KernelScratch &scratch, const PreparedLog &log,
+                           std::size_t lanes);
+    void replay(const PreparedLog &log,
+                std::span<const std::uint32_t> candidates);
+    void replayChunk(KernelScratch &scratch, const PreparedLog &log,
+                     std::span<const std::uint32_t> candidates);
+    PolicyDecision exhaustiveSearch(const PreparedLog &log, double f_floor);
+    PolicyDecision prunedSearch(const PreparedLog &log, double f_floor);
+    std::uint64_t countEvaluated() const;
     PolicyDecision reduce(std::uint64_t evaluated) const;
 };
 

@@ -207,7 +207,7 @@ class SleepScaleRuntime
     QosConstraint _qos;
 
     /** Persistent decider (null under a fixed policy), so the search
-     * engine's plan cache and arenas are built once per runtime, not
+     * engine's plan cache and kernel scratch are built once per runtime, not
      * once per decision. Decisions mutate it, so concurrent run()
      * calls on one runtime instance are not safe. */
     std::unique_ptr<EpochDecider> _decider;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "analytic/offline_opt.hh"
+#include "core/decision_slot.hh"
 #include "core/predictor.hh"
 #include "core/runtime.hh"
 #include "core/strategies.hh"
@@ -326,12 +327,7 @@ runMulticore(const ScenarioSpec &spec)
     result.elapsed = stats.elapsed;
     result.jobs = stats.completions;
 
-    const QosConstraint qos =
-        spec.qosMetric == QosMetric::MeanResponse
-            ? QosConstraint::fromBaselineMean(spec.rhoB,
-                                              workload.serviceMean)
-            : QosConstraint::fromBaselineTail(spec.rhoB,
-                                              workload.serviceMean);
+    const QosConstraint qos = deriveQos(spec.qosMetric, spec.rhoB, workload);
     result.withinBudget =
         (spec.qosMetric == QosMetric::MeanResponse
              ? result.meanResponse

@@ -15,7 +15,7 @@
  *    cheap: the queueing characterization runs once per epoch.
  *  - "per-server": one slot per server, fed by the jobs the dispatcher
  *    actually routed to it, with its own decider (whose eval-engine
- *    plan cache and arenas persist across epochs). This is the general
+ *    plan cache and kernel scratch persist across epochs). This is the general
  *    mode: it supports heterogeneous platform mixes (big/little farms)
  *    and skewed dispatchers, where per-server decisions legitimately
  *    diverge.

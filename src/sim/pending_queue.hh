@@ -8,8 +8,7 @@
  * it. A std::deque pays a heap allocation every few hundred entries and
  * scatters the pairs across map blocks; this ring keeps them in one
  * contiguous power-of-two slab that survives reset(), so steady-state
- * simulation — and in particular the policy-evaluation engine's
- * reset-and-replay arenas — pushes and pops with zero heap traffic.
+ * simulation pushes and pops with zero heap traffic.
  */
 
 #ifndef SLEEPSCALE_SIM_PENDING_QUEUE_HH

@@ -17,11 +17,15 @@ PreparedLog::fromJobs(const std::vector<Job> &jobs)
     log.cumSize.reserve(jobs.size());
     double cum = 0.0;
     double last_arrival = 0.0;
+    // Plain branches rather than fatalIf(): its std::string message
+    // would be built (and allocated) for every job.
     for (const Job &job : jobs) {
-        fatalIf(job.arrival < last_arrival,
-                "PreparedLog: arrivals must be non-decreasing");
-        fatalIf(job.arrival < 0.0, "PreparedLog: negative arrival time");
-        fatalIf(job.size < 0.0, "PreparedLog: negative job size");
+        if (job.arrival < last_arrival)
+            fatal("PreparedLog: arrivals must be non-decreasing");
+        if (job.arrival < 0.0)
+            fatal("PreparedLog: negative arrival time");
+        if (job.size < 0.0)
+            fatal("PreparedLog: negative job size");
         last_arrival = job.arrival;
         cum += job.size;
         log.arrival.push_back(job.arrival);
@@ -34,9 +38,11 @@ PreparedLog::fromJobs(const std::vector<Job> &jobs)
 double
 PreparedLog::offeredLoad() const
 {
-    fatalIf(count() < 2, "PreparedLog: log needs at least two jobs");
+    if (count() < 2)
+        fatal("PreparedLog: log needs at least two jobs");
     const double span = arrival.back();
-    fatalIf(span <= 0.0, "PreparedLog: log spans no time");
+    if (span <= 0.0)
+        fatal("PreparedLog: log spans no time");
     return totalDemand() / span;
 }
 
@@ -59,11 +65,15 @@ ServerSim::integrateBusy(double from, double to)
 }
 
 void
-ServerSim::accumulateIdle(double start, double end)
+ServerSim::integrateIdle(double from, double to)
 {
-    // Both bounds are descent-relative (seconds since the idle start).
-    // Energy is a prefix-sum difference; residency still walks the (at
-    // most maxStages) stages the interval spans.
+    if (to <= from)
+        return;
+    // Descent-relative bounds (seconds since the idle start). Energy is
+    // a prefix-sum difference; residency still walks the (at most
+    // maxStages) stages the interval spans.
+    const double start = from - _nextFree;
+    const double end = to - _nextFree;
     _window.energy += _plan.idleEnergy(end) - _plan.idleEnergy(start);
     const std::size_t last = _plan.stageAt(end);
     for (std::size_t stage = _plan.stageAt(start); stage <= last;
@@ -74,14 +84,6 @@ ServerSim::accumulateIdle(double start, double end)
                           : std::min(end, _plan.enterAfter(stage + 1));
         _window.idleResidency[depthIndex(_plan.state(stage))] += hi - lo;
     }
-}
-
-void
-ServerSim::integrateIdle(double from, double to)
-{
-    if (to <= from)
-        return;
-    accumulateIdle(from - _nextFree, to - _nextFree);
 }
 
 void
@@ -157,75 +159,6 @@ ServerSim::setPolicy(const Policy &policy, double t)
     _policy = policy;
     _plan = MaterializedPlan(policy.plan, _platform, policy.frequency);
     _activePower = _platform.activePower(policy.frequency);
-}
-
-void
-ServerSim::reset()
-{
-    _accountedUntil = 0.0;
-    _nextFree = 0.0;
-    _pending.reset();
-    _window.reset();
-}
-
-void
-ServerSim::reset(double frequency, const MaterializedPlan &plan)
-{
-    _policy.frequency = frequency;
-    _plan = plan;
-    _activePower = _platform.activePower(frequency);
-    reset();
-}
-
-const SimStats &
-ServerSim::replay(const PreparedLog &log, bool record_tail)
-{
-    if (_accountedUntil != 0.0 || _nextFree != 0.0 || !_pending.empty())
-        fatal("ServerSim::replay: requires a freshly reset simulator");
-
-    const double factor = _scaling.factor(_policy.frequency);
-    const std::size_t n = log.count();
-    const double *arrivals = log.arrival.data();
-    const double *sizes = log.size.data();
-    double next_free = 0.0;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double arrival = arrivals[i];
-        double service_start;
-        if (arrival >= next_free) {
-            // Idle period [next_free, arrival]: integrate the descent
-            // and pay the wake-up of the stage the arrival interrupts.
-            const double gap = arrival - next_free;
-            const std::size_t stage = _plan.stageAt(gap);
-            if (gap > 0.0)
-                accumulateIdle(0.0, gap);
-            const double wake = _plan.wakeLatency(stage);
-            ++_window.wakeups[depthIndex(_plan.state(stage))];
-            _window.wakeTime += wake;
-            service_start = arrival + wake;
-        } else {
-            service_start = next_free;
-        }
-
-        const double depart = service_start + sizes[i] * factor;
-        const double busy =
-            depart - (arrival >= next_free ? arrival : next_free);
-        _window.energy += _activePower * busy;
-        _window.busyTime += busy;
-
-        const double response = depart - arrival;
-        _window.response.add(response);
-        if (record_tail)
-            _window.responseHistogram.add(response);
-        ++_window.completions;
-        next_free = depart;
-    }
-
-    _window.arrivals += n;
-    _window.windowEnd = next_free;
-    _accountedUntil = next_free;
-    _nextFree = next_free;
-    return _window;
 }
 
 SimStats

@@ -41,7 +41,8 @@ namespace sleepscale {
  * replay loop, which never needs both fields of a Job at once) and keeps
  * prefix sums of the job sizes so aggregate demand over any suffix or
  * prefix of the log — offered load, mean size — is O(1). Validated once
- * at construction so the per-candidate replay runs check-free.
+ * at construction so the policy-evaluation engine's replay kernel runs
+ * check-free.
  */
 struct PreparedLog
 {
@@ -154,41 +155,6 @@ class ServerSim
     /** Whether per-completion tail histograms are being recorded. */
     bool recordTail() const { return _recordTail; }
 
-    /**
-     * Return to the t = 0 empty-queue state under the current policy,
-     * keeping every allocation (pending ring, histogram buckets), so
-     * the simulator can serve as a reusable evaluation arena.
-     */
-    void reset();
-
-    /**
-     * reset() and swap the operating point without re-materializing the
-     * plan: `plan` must be `policy.plan` materialized against this
-     * simulator's platform at `frequency`. Only the frequency of the
-     * stored Policy is updated — the abstract plan of policy() is NOT
-     * kept in sync (the materialized plan is authoritative here). This
-     * is the policy-evaluation engine's entry point; it performs zero
-     * heap allocation.
-     */
-    void reset(double frequency, const MaterializedPlan &plan);
-
-    /**
-     * Evaluate the current policy over a preprocessed log in one tight
-     * pass: the replay equivalent of offerJob()-per-job plus a closing
-     * advanceTo(nextFreeTime()), with identical accounting semantics
-     * but no per-job pending buffering, window flushing, or input
-     * re-validation. Requires a freshly reset() (or newly constructed)
-     * simulator; allocates nothing.
-     *
-     * @param log Preprocessed job log (at least one job).
-     * @param record_tail When false, skip the percentile histogram
-     *        (mean-only QoS searches don't need it); streaming moments
-     *        are always recorded.
-     * @return The accumulated window (valid until the next mutation).
-     */
-    const SimStats &replay(const PreparedLog &log,
-                           bool record_tail = true);
-
   private:
     const PlatformModel &_platform;
     ServiceScaling _scaling;
@@ -208,7 +174,6 @@ class ServerSim
 
     void integrateBusy(double from, double to);
     void integrateIdle(double from, double to);
-    void accumulateIdle(double start, double end);
     void flushDepartures(double t);
 };
 

@@ -53,9 +53,10 @@ QuantileHistogram::add(double x)
 {
     // NaN would reach an undefined float-to-index cast in indexOf and
     // +inf would poison the exact moments, so both are rejected rather
-    // than silently landing in a boundary bucket.
-    fatalIf(!std::isfinite(x) || x < 0.0,
-            "QuantileHistogram::add: samples must be finite and >= 0");
+    // than silently landing in a boundary bucket. A plain branch, not
+    // fatalIf(), so a sample never builds the message string.
+    if (!std::isfinite(x) || x < 0.0)
+        fatal("QuantileHistogram::add: samples must be finite and >= 0");
     if (_buckets.empty())
         _buckets.assign(_gridBuckets, 0);
     ++_buckets[indexOf(x)];
@@ -65,8 +66,8 @@ QuantileHistogram::add(double x)
 double
 QuantileHistogram::percentile(double p) const
 {
-    fatalIf(p < 0.0 || p > 100.0,
-            "QuantileHistogram::percentile: p must be in [0, 100]");
+    if (p < 0.0 || p > 100.0)
+        fatal("QuantileHistogram::percentile: p must be in [0, 100]");
     const std::uint64_t n = count();
     if (n == 0)
         return 0.0;

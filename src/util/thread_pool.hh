@@ -59,7 +59,8 @@ class ThreadPool
      * items finish; the first exception recorded by any item is rethrown
      * after the loop completes (remaining items still run). The lane
      * index identifies the executing thread, so callers can maintain
-     * per-lane scratch state (e.g. simulation arenas) without locking.
+     * per-lane scratch state (e.g. replay-kernel scratch) without
+     * locking.
      *
      * Not reentrant: one parallelFor() at a time per pool, and the body
      * must not call back into the same pool.
@@ -68,7 +69,7 @@ class ThreadPool
 
     /** Hardware concurrency, with a floor of 1. The only sanctioned
      * call site of std::thread::hardware_concurrency (enforced by
-     * tools/lint_determinism.py): lane counts size scratch arenas, and
+     * tools/lint_determinism.py): lane counts size per-lane scratch, and
      * results are reduced in index order, so the machine-dependent
      * value never reaches a simulation outcome. */
     static std::size_t hardwareLanes();

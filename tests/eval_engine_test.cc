@@ -1,16 +1,24 @@
 /**
  * @file
  * Tests for the batched policy-evaluation engine: plan-cache fidelity,
- * replay-vs-streaming equivalence, parallel-vs-serial bit-equality, and
+ * pinned kernel outcomes, kernel-vs-streaming equivalence, batch-split
+ * and pool-width bit-equality, an allocation-free search over a prepared
+ * log, and
  * pruned-vs-exhaustive decision equivalence across the Table 5
  * workloads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <iterator>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 
 #include "core/eval_engine.hh"
@@ -21,6 +29,34 @@
 #include "util/rng.hh"
 #include "workload/job_stream.hh"
 #include "workload/workload_spec.hh"
+
+// Counts every global allocation, so a test can assert that a window
+// of engine work performs none. Kept out of line so the compiler never
+// pairs an inlined free() with the allocating call.
+namespace {
+std::atomic<std::size_t> globalAllocations{0};
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    globalAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *block = std::malloc(bytes == 0 ? 1 : bytes))
+        return block;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *block) noexcept
+{
+    std::free(block);
+}
+
+[[gnu::noinline]] void
+operator delete(void *block, std::size_t) noexcept
+{
+    std::free(block);
+}
 
 namespace sleepscale {
 namespace {
@@ -107,67 +143,6 @@ TEST_F(EvalEngineTest, CachePersistsAcrossSelections)
               second.evaluated);
 }
 
-// ------------------------------------ replay vs the streaming simulator
-
-TEST_F(EvalEngineTest, ReplayMatchesStreamingEvaluation)
-{
-    const auto jobs = poissonLog(0.25, 0.194, 8000, 7);
-    const PreparedLog prepared = PreparedLog::fromJobs(jobs);
-
-    for (const LowPowerState state : allLowPowerStates) {
-        for (const double f : {0.4, 0.7, 1.0}) {
-            const Policy policy{f, SleepPlan::immediate(state)};
-            const PolicyEvaluation streamed = evaluatePolicy(
-                xeon, ServiceScaling::cpuBound(), policy, jobs);
-
-            ServerSim arena(xeon, ServiceScaling::cpuBound(), policy);
-            arena.reset();
-            const SimStats &replayed = arena.replay(prepared);
-
-            EXPECT_EQ(replayed.completions, streamed.stats.completions);
-            EXPECT_EQ(replayed.arrivals, streamed.stats.arrivals);
-            EXPECT_NEAR(replayed.energy / streamed.stats.energy, 1.0,
-                        1e-12);
-            EXPECT_NEAR(replayed.busyTime, streamed.stats.busyTime,
-                        1e-9);
-            EXPECT_NEAR(replayed.wakeTime, streamed.stats.wakeTime,
-                        1e-9);
-            EXPECT_EQ(replayed.response.mean(),
-                      streamed.stats.response.mean());
-            EXPECT_EQ(replayed.responsePercentile(95.0),
-                      streamed.stats.responsePercentile(95.0));
-            EXPECT_DOUBLE_EQ(replayed.windowEnd,
-                             streamed.stats.windowEnd);
-            for (std::size_t i = 0; i < numLowPowerStates; ++i) {
-                EXPECT_NEAR(replayed.idleResidency[i],
-                            streamed.stats.idleResidency[i], 1e-9);
-                EXPECT_EQ(replayed.wakeups[i],
-                          streamed.stats.wakeups[i]);
-            }
-        }
-    }
-}
-
-TEST_F(EvalEngineTest, ResetKeepsArenaReusable)
-{
-    const auto jobs = poissonLog(0.2, 0.194, 2000, 11);
-    const PreparedLog prepared = PreparedLog::fromJobs(jobs);
-    const Policy policy{0.6,
-                        SleepPlan::delayed(LowPowerState::C6S3, 0.1)};
-    const MaterializedPlan plan(policy.plan, xeon, policy.frequency);
-
-    ServerSim arena(xeon, ServiceScaling::cpuBound(), Policy{});
-    arena.reset(policy.frequency, plan);
-    const double first_energy = arena.replay(prepared).energy;
-    const double first_mean = arena.currentWindow().response.mean();
-
-    // A second reset-and-replay of the same candidate is bit-identical.
-    arena.reset(policy.frequency, plan);
-    const SimStats &again = arena.replay(prepared);
-    EXPECT_EQ(again.energy, first_energy);
-    EXPECT_EQ(again.response.mean(), first_mean);
-}
-
 // ---------------------------------------------- candidate-outcome pin
 
 /** The plans the candidate-outcome pin covers: every single-state
@@ -191,27 +166,53 @@ struct PinnedOutcome
     double p95;
 };
 
-/** The pinned outcomes of every (plan, frequency) candidate, plan-major
- * over pinnedPlans() x PolicySpace::standard().frequencies. */
-std::vector<PinnedOutcome>
-replayOutcomes(const PlatformModel &platform, const std::vector<Job> &jobs)
+/** The pinned plans over the standard frequency grid. */
+PolicySpace
+pinnedSpace()
 {
-    const PreparedLog prepared = PreparedLog::fromJobs(jobs);
-    std::vector<PinnedOutcome> outcomes;
-    for (const SleepPlan &plan : pinnedPlans()) {
-        for (const double f : PolicySpace::standard().frequencies) {
-            ServerSim arena(platform, ServiceScaling::cpuBound(),
-                            Policy{});
-            arena.reset(f, MaterializedPlan(plan, platform, f));
-            const SimStats &stats = arena.replay(prepared);
-            outcomes.push_back({stats.avgPower(), stats.meanResponse(),
-                                stats.responsePercentile(95.0)});
-        }
-    }
+    PolicySpace space;
+    space.plans = pinnedPlans();
+    space.frequencies = PolicySpace::standard().frequencies;
+    return space;
+}
+
+/** Every candidate index of `engine`'s space, in plan-major order. */
+std::vector<std::uint32_t>
+allCandidates(const PolicyEvalEngine &engine)
+{
+    std::vector<std::uint32_t> candidates(engine.space().size());
+    std::iota(candidates.begin(), candidates.end(), 0u);
+    return candidates;
+}
+
+/** Kernel outcomes of every candidate of `engine`'s space over `jobs`,
+ * plan-major. */
+std::vector<CandidateOutcome>
+characterizeAll(PolicyEvalEngine &engine, const std::vector<Job> &jobs)
+{
+    const std::vector<std::uint32_t> candidates = allCandidates(engine);
+    std::vector<CandidateOutcome> outcomes(candidates.size());
+    engine.characterize(PreparedLog::fromJobs(jobs), candidates, outcomes);
     return outcomes;
 }
 
-// Recorded from the per-candidate ServerSim replay. kDensePin replays
+/** The pinned outcomes of every (plan, frequency) candidate, plan-major
+ * over pinnedSpace(). A 95th-percentile constraint makes the kernel
+ * record the tail. */
+std::vector<PinnedOutcome>
+replayOutcomes(const PlatformModel &platform, const std::vector<Job> &jobs)
+{
+    PolicyEvalEngine engine(platform, ServiceScaling::cpuBound(),
+                            pinnedSpace(),
+                            QosConstraint::tailBudget(1.0, 95.0));
+    std::vector<PinnedOutcome> pinned;
+    for (const CandidateOutcome &outcome : characterizeAll(engine, jobs))
+        pinned.push_back(
+            {outcome.power, outcome.meanResponse, outcome.metric});
+    return pinned;
+}
+
+// Recorded from the per-candidate ServerSim replay the kernel replaced. kDensePin replays
 // poissonLog(0.3, 0.194, 2000, 31); kSparsePin replays
 // poissonLog(0.02, 0.194, 600, 37), whose ~10 s gaps reach the deep
 // stages of the delayed and throttle-back plans.
@@ -460,18 +461,194 @@ TEST_F(EvalEngineTest, CandidateOutcomesMatchPin)
     };
     const std::vector<SleepPlan> plans = pinnedPlans();
     const std::vector<double> freqs = PolicySpace::standard().frequencies;
+    PolicyEvalEngine mean_engine(xeon, ServiceScaling::cpuBound(),
+                                 pinnedSpace(), qos);
     for (const PinnedLog &log : logs) {
         const std::vector<PinnedOutcome> outcomes =
             replayOutcomes(xeon, log.jobs);
+        // The mean-metric kernel (no histograms) must agree too.
+        const std::vector<CandidateOutcome> means =
+            characterizeAll(mean_engine, log.jobs);
         ASSERT_EQ(outcomes.size(), log.size);
+        ASSERT_EQ(means.size(), log.size);
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             SCOPED_TRACE(plans[i / freqs.size()].toString() + " f=" +
                          std::to_string(freqs[i % freqs.size()]));
             EXPECT_EQ(outcomes[i].power, log.pin[i].power);
             EXPECT_EQ(outcomes[i].meanResponse, log.pin[i].meanResponse);
             EXPECT_EQ(outcomes[i].p95, log.pin[i].p95);
+            EXPECT_EQ(means[i].power, log.pin[i].power);
+            EXPECT_EQ(means[i].meanResponse, log.pin[i].meanResponse);
+            EXPECT_EQ(means[i].metric, log.pin[i].meanResponse);
         }
     }
+}
+
+// ----------------------------------- the kernel vs the streaming simulator
+
+TEST_F(EvalEngineTest, ReplayMatchesStreamingEvaluation)
+{
+    const auto jobs = poissonLog(0.25, 0.194, 8000, 7);
+    PolicySpace space;
+    space.plans = pinnedPlans();
+    space.frequencies = {0.4, 0.7, 1.0};
+    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(), space,
+                            QosConstraint::tailBudget(1.0, 95.0));
+    const std::vector<CandidateOutcome> outcomes =
+        characterizeAll(engine, jobs);
+
+    for (std::size_t index = 0; index < outcomes.size(); ++index) {
+        const Policy policy{
+            space.frequencies[index % space.frequencies.size()],
+            space.plans[index / space.frequencies.size()]};
+        SCOPED_TRACE(policy.toString());
+        const PolicyEvaluation streamed = evaluatePolicy(
+            xeon, ServiceScaling::cpuBound(), policy, jobs);
+        // Streaming integrates idle energy in the same single interval
+        // per gap but through a different call path; energy agrees to
+        // rounding, the response statistics bit for bit.
+        EXPECT_NEAR(outcomes[index].power / streamed.avgPower(), 1.0,
+                    1e-12);
+        EXPECT_EQ(outcomes[index].meanResponse,
+                  streamed.stats.response.mean());
+        EXPECT_EQ(outcomes[index].metric,
+                  streamed.stats.responsePercentile(95.0));
+    }
+}
+
+TEST_F(EvalEngineTest, KernelScratchIsReusable)
+{
+    const auto jobs = poissonLog(0.2, 0.194, 2000, 11);
+    const PreparedLog prepared = PreparedLog::fromJobs(jobs);
+    const Policy policy{0.6,
+                        SleepPlan::delayed(LowPowerState::C6S3, 0.1)};
+    PolicySpace space;
+    space.plans = {SleepPlan::immediate(LowPowerState::C6S3),
+                   policy.plan};
+    space.frequencies = {0.6, 1.0};
+    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(), space, qos);
+    const std::uint32_t delayed_at_06 = 2; // plan 1, frequency 0.6.
+
+    std::vector<CandidateOutcome> first(1);
+    engine.characterize(prepared, {&delayed_at_06, 1}, first);
+
+    // Replaying other candidates through the same scratch, then the
+    // first one again, is bit-identical.
+    const std::vector<std::uint32_t> others = {0, 1, 3};
+    std::vector<CandidateOutcome> scratch(others.size());
+    engine.characterize(prepared, others, scratch);
+    std::vector<CandidateOutcome> again(1);
+    engine.characterize(prepared, {&delayed_at_06, 1}, again);
+    EXPECT_EQ(again[0].power, first[0].power);
+    EXPECT_EQ(again[0].meanResponse, first[0].meanResponse);
+    EXPECT_EQ(again[0].metric, first[0].metric);
+
+    const PolicyEvaluation streamed =
+        evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
+    EXPECT_NEAR(first[0].power / streamed.avgPower(), 1.0, 1e-12);
+    EXPECT_EQ(first[0].meanResponse, streamed.stats.response.mean());
+}
+
+// ------------------------------------------ kernel batching and fan-out
+
+TEST_F(EvalEngineTest, KernelOutcomesIndependentOfBatchSplitAndPoolWidth)
+{
+    const auto jobs = poissonLog(0.1, 0.194, 1500, 19);
+    const PreparedLog prepared = PreparedLog::fromJobs(jobs);
+    const QosConstraint tail_qos = QosConstraint::tailBudget(1.0, 95.0);
+    for (const QosConstraint &constraint : {qos, tail_qos}) {
+        PolicyEvalEngine reference_engine(xeon, ServiceScaling::cpuBound(),
+                                          pinnedSpace(), constraint);
+        const std::vector<CandidateOutcome> reference =
+            characterizeAll(reference_engine, jobs);
+        const std::vector<std::uint32_t> candidates =
+            allCandidates(reference_engine);
+
+        for (const std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+            EvalEngineOptions options;
+            options.threads = threads;
+            PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
+                                    pinnedSpace(), constraint, options);
+            for (const std::size_t split :
+                 {std::size_t{1}, std::size_t{7}, candidates.size()}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " split=" + std::to_string(split));
+                std::vector<CandidateOutcome> outcomes(candidates.size());
+                for (std::size_t first = 0; first < candidates.size();
+                     first += split) {
+                    const std::size_t count =
+                        std::min(split, candidates.size() - first);
+                    engine.characterize(
+                        prepared,
+                        std::span(candidates).subspan(first, count),
+                        std::span(outcomes).subspan(first, count));
+                }
+                for (std::size_t i = 0; i < outcomes.size(); ++i) {
+                    EXPECT_EQ(outcomes[i].power, reference[i].power);
+                    EXPECT_EQ(outcomes[i].meanResponse,
+                              reference[i].meanResponse);
+                    EXPECT_EQ(outcomes[i].metric, reference[i].metric);
+                }
+            }
+        }
+    }
+}
+
+TEST_F(EvalEngineTest, SearchAllocatesNothingAfterTheFirstSelection)
+{
+    const auto log = poissonLog(0.3, 0.194, 3000, 13);
+    const QosConstraint tail_qos =
+        QosConstraint::fromBaselineTail(0.8, 0.194);
+    for (const QosConstraint &constraint : {qos, tail_qos}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+            for (const bool pruned : {false, true}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " pruned=" + std::to_string(pruned));
+                EvalEngineOptions options;
+                options.threads = threads;
+                options.pruned = pruned;
+                PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
+                                        PolicySpace::standard(),
+                                        constraint, options);
+                const PreparedLog prepared = PreparedLog::fromJobs(log);
+                const std::vector<std::uint32_t> candidates =
+                    allCandidates(engine);
+                std::vector<CandidateOutcome> outcomes(candidates.size());
+                const PolicyDecision first =
+                    engine.selectFromPrepared(prepared);
+                engine.characterize(prepared, candidates, outcomes);
+
+                std::size_t before = globalAllocations.load();
+                engine.characterize(prepared, candidates, outcomes);
+                EXPECT_EQ(globalAllocations.load() - before, 0u);
+
+                // A selection allocates only the returned policy's copy
+                // of the winning sleep plan.
+                before = globalAllocations.load();
+                const PolicyDecision again =
+                    engine.selectFromPrepared(prepared);
+                EXPECT_EQ(globalAllocations.load() - before, 1u);
+                expectIdenticalDecisions(first, again);
+            }
+        }
+    }
+}
+
+TEST_F(EvalEngineTest, CharacterizeRejectsBadCandidateLists)
+{
+    PolicyEvalEngine engine(xeon, ServiceScaling::cpuBound(),
+                            PolicySpace::standard(), qos);
+    const PreparedLog log =
+        PreparedLog::fromJobs(poissonLog(0.3, 0.194, 100));
+    std::vector<CandidateOutcome> two(2);
+    const std::vector<std::uint32_t> twice = {3, 3};
+    EXPECT_THROW(engine.characterize(log, twice, two), ConfigError);
+    const std::vector<std::uint32_t> beyond = {
+        0, static_cast<std::uint32_t>(engine.space().size())};
+    EXPECT_THROW(engine.characterize(log, beyond, two), ConfigError);
+    std::vector<CandidateOutcome> one(1);
+    EXPECT_THROW(engine.characterize(log, twice, one), ConfigError);
 }
 
 // ------------------------------------------- engine vs the legacy loop
