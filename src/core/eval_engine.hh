@@ -41,9 +41,8 @@
  * one kernel scratch exclusively for the whole parallelFor, the lanes
  * replay disjoint candidate chunks, and outcomes land in a
  * candidate-indexed table that is only reduced (in index order) after
- * the fan-out joins. docs/CONCURRENCY.md documents
- * the discipline; the TSan CI job and tools/lint_determinism.py
- * enforce it.
+ * the fan-out joins. docs/CONCURRENCY.md documents the discipline; the
+ * TSan CI job and tools/lint_determinism.py enforce it.
  */
 
 #ifndef SLEEPSCALE_CORE_EVAL_ENGINE_HH

@@ -2,10 +2,9 @@
  * @file
  * Tests for the batched policy-evaluation engine: plan-cache fidelity,
  * pinned kernel outcomes, kernel-vs-streaming equivalence, batch-split
- * and pool-width bit-equality, an allocation-free search over a prepared
- * log, and
- * pruned-vs-exhaustive decision equivalence across the Table 5
- * workloads.
+ * and pool-width bit-equality, an allocation-free search over a
+ * prepared log, and pruned-vs-exhaustive decision equivalence across
+ * the Table 5 workloads.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +13,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <new>
 #include <iterator>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <span>
 #include <string>
@@ -212,10 +211,10 @@ replayOutcomes(const PlatformModel &platform, const std::vector<Job> &jobs)
     return pinned;
 }
 
-// Recorded from the per-candidate ServerSim replay the kernel replaced. kDensePin replays
-// poissonLog(0.3, 0.194, 2000, 31); kSparsePin replays
-// poissonLog(0.02, 0.194, 600, 37), whose ~10 s gaps reach the deep
-// stages of the delayed and throttle-back plans.
+// Recorded from the per-candidate ServerSim replay the kernel replaced.
+// kDensePin replays poissonLog(0.3, 0.194, 2000, 31); kSparsePin
+// replays poissonLog(0.02, 0.194, 600, 37), whose ~10 s gaps reach the
+// deep stages of the delayed and throttle-back plans.
 const PinnedOutcome kDensePin[] = {
     // C0(i)S0(i)
     {0x1.e5ffa6fc184d9p+6, 0x1.11f9944efc81ep+4, 0x1.534e06877cad7p+5},
