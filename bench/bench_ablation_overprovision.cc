@@ -12,9 +12,8 @@
 #include <iostream>
 
 #include "core/strategies.hh"
-#include "util/rng.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 using namespace sleepscale;
 
@@ -26,8 +25,6 @@ main()
 
     const UtilizationTrace day = synthEmailStoreTrace(1, 20140614);
     const UtilizationTrace window = day.dailyWindow(2, 20);
-    Rng rng(111);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, window);
 
     printBanner(std::cout,
                 "Ablation: over-provisioning factor alpha (SS, DNS-like, "
@@ -40,6 +37,7 @@ main()
             StrategyKind::SleepScale, 5, alpha, 0.8);
         const SleepScaleRuntime runtime(xeon, dns, config);
         LmsCusumPredictor predictor(10);
+        TraceDrivenSource jobs(dns, window, 111);
         const RuntimeResult result = runtime.run(jobs, window, predictor);
 
         std::size_t boosted = 0;

@@ -13,9 +13,8 @@
 #include <iostream>
 
 #include "core/strategies.hh"
-#include "util/rng.hh"
 #include "util/table_printer.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 using namespace sleepscale;
 
@@ -48,15 +47,14 @@ main()
     for (const TraceCase &trace_case : traces) {
         for (const WorkloadSpec &spec :
              {dnsWorkload(), googleWorkload()}) {
-            Rng rng(seed++);
-            const auto jobs = generateTraceDrivenJobs(rng, spec,
-                                                      trace_case.window);
+            const std::uint64_t jobs_seed = seed++;
             for (double rho_b : {0.6, 0.8}) {
                 RuntimeConfig config = makeStrategyConfig(
                     StrategyKind::SleepScale, 5, 0.35, rho_b);
                 config.evalLogCap = 3000;
                 const SleepScaleRuntime runtime(xeon, spec, config);
                 LmsCusumPredictor predictor(10);
+                TraceDrivenSource jobs(spec, trace_case.window, jobs_seed);
                 const RuntimeResult result =
                     runtime.run(jobs, trace_case.window, predictor);
 

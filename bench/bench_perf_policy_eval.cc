@@ -18,8 +18,7 @@
 #include "experiment/runner.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace {
 
@@ -28,10 +27,10 @@ using namespace sleepscale;
 std::vector<Job>
 benchJobs(std::size_t count)
 {
-    Rng rng(4242);
     ExponentialDist gaps(0.194 / 0.3);
     ExponentialDist sizes(0.194);
-    return generateJobs(rng, gaps, sizes, count);
+    StationarySource source(gaps.clone(), sizes.clone(), 4242);
+    return materialize(source, count);
 }
 
 QosConstraint

@@ -49,15 +49,6 @@ SleepScaleRuntime::SleepScaleRuntime(const PlatformModel &platform,
 }
 
 RuntimeResult
-SleepScaleRuntime::run(const std::vector<Job> &jobs,
-                       const UtilizationTrace &trace,
-                       UtilizationPredictor &predictor) const
-{
-    VectorSource source = VectorSource::view(jobs);
-    return run(source, trace, predictor);
-}
-
-RuntimeResult
 SleepScaleRuntime::run(JobSource &source, const UtilizationTrace &trace,
                        UtilizationPredictor &predictor) const
 {

@@ -189,14 +189,6 @@ class SleepScaleRuntime
     RuntimeResult run(JobSource &source, const UtilizationTrace &trace,
                       UtilizationPredictor &predictor) const;
 
-    /**
-     * Run a materialized job list — a thin adapter that streams `jobs`
-     * through the JobSource overload; results are identical.
-     */
-    RuntimeResult run(const std::vector<Job> &jobs,
-                      const UtilizationTrace &trace,
-                      UtilizationPredictor &predictor) const;
-
     /** The QoS constraint derived from the configuration. */
     const QosConstraint &qos() const { return _qos; }
 

@@ -263,31 +263,6 @@ FarmFaultStats::goodput() const
            static_cast<double>(offered);
 }
 
-std::unique_ptr<JobSource>
-makeFarmSource(const WorkloadSpec &spec, const UtilizationTrace &trace,
-               std::size_t farm_size, std::uint64_t seed)
-{
-    fatalIf(farm_size == 0, "makeFarmSource: farm size must be >= 1");
-    // A farm at per-server load rho sees rho * size aggregate demand:
-    // the rate multiplier shrinks the mean inter-arrival by the farm
-    // size while keeping the gap distribution's shape and the true
-    // service demands.
-    return std::make_unique<TraceDrivenSource>(
-        spec, trace, seed, static_cast<double>(farm_size));
-}
-
-std::vector<Job>
-generateFarmJobs(Rng &rng, const WorkloadSpec &spec,
-                 const UtilizationTrace &trace, std::size_t farm_size)
-{
-    fatalIf(farm_size == 0, "generateFarmJobs: farm size must be >= 1");
-    TraceDrivenSource source(spec, trace, rng,
-                             static_cast<double>(farm_size));
-    std::vector<Job> jobs = materialize(source);
-    rng = source.rng();
-    return jobs;
-}
-
 FarmRuntime::FarmRuntime(const PlatformModel &platform,
                          const WorkloadSpec &spec,
                          FarmRuntimeConfig config)
@@ -429,15 +404,6 @@ FarmRuntime::serverPlatform(std::size_t server) const
     fatalIf(server >= _serverPlatforms.size(),
             "FarmRuntime::serverPlatform: server index out of range");
     return *_serverPlatforms[server];
-}
-
-FarmRuntimeResult
-FarmRuntime::run(const std::vector<Job> &jobs,
-                 const UtilizationTrace &trace,
-                 UtilizationPredictor &predictor) const
-{
-    VectorSource source = VectorSource::view(jobs);
-    return run(source, trace, predictor);
 }
 
 FarmRuntimeResult

@@ -328,15 +328,6 @@ class FarmRuntime
                           const UtilizationTrace &trace,
                           UtilizationPredictor &predictor) const;
 
-    /**
-     * Run a materialized aggregate job list — a thin adapter that
-     * streams `jobs` through the JobSource overload; results are
-     * identical.
-     */
-    FarmRuntimeResult run(const std::vector<Job> &jobs,
-                          const UtilizationTrace &trace,
-                          UtilizationPredictor &predictor) const;
-
     /** The QoS constraint derived from the configuration. */
     const QosConstraint &qos() const { return _qos; }
 
@@ -400,25 +391,6 @@ class FarmRuntime
  */
 double failoverBackoffDelay(double backoff, unsigned attempts,
                             double cap);
-
-/**
- * Streaming aggregate trace-driven source for a farm: the trace is the
- * per-server load, so the farm sees farm-size times the arrival rate
- * with the same service distribution. Equivalent to
- * TraceDrivenSource(spec, trace, seed, farm_size).
- */
-std::unique_ptr<JobSource> makeFarmSource(const WorkloadSpec &spec,
-                                          const UtilizationTrace &trace,
-                                          std::size_t farm_size,
-                                          std::uint64_t seed);
-
-/**
- * Materialized adapter over makeFarmSource() — drains the aggregate
- * stream into a vector for callers that need the whole list.
- */
-std::vector<Job> generateFarmJobs(Rng &rng, const WorkloadSpec &spec,
-                                  const UtilizationTrace &trace,
-                                  std::size_t farm_size);
 
 } // namespace sleepscale
 

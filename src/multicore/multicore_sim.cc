@@ -198,20 +198,6 @@ MulticoreSim::allFreeTime() const
 MulticoreStats
 evaluateMulticorePolicy(const PlatformModel &platform,
                         ServiceScaling scaling, std::size_t cores,
-                        const MulticorePolicy &policy,
-                        const std::vector<Job> &jobs)
-{
-    fatalIf(jobs.empty(), "evaluateMulticorePolicy: need jobs");
-    MulticoreSim sim(platform, scaling, cores, policy);
-    for (const Job &job : jobs)
-        sim.offerJob(job);
-    sim.advanceTo(sim.allFreeTime());
-    return sim.stats();
-}
-
-MulticoreStats
-evaluateMulticorePolicy(const PlatformModel &platform,
-                        ServiceScaling scaling, std::size_t cores,
                         const MulticorePolicy &policy, JobSource &source,
                         std::size_t max_jobs)
 {

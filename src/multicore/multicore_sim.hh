@@ -141,18 +141,9 @@ class MulticoreSim
 };
 
 /**
- * Evaluate a multicore policy over a job list (fresh package, run to
- * the last departure) — the multicore analogue of evaluatePolicy().
- */
-MulticoreStats evaluateMulticorePolicy(const PlatformModel &platform,
-                                       ServiceScaling scaling,
-                                       std::size_t cores,
-                                       const MulticorePolicy &policy,
-                                       const std::vector<Job> &jobs);
-
-/**
- * Streaming overload: pulls up to max_jobs arrivals from a source —
- * the package never holds the job list.
+ * Evaluate a multicore policy over up to max_jobs arrivals pulled from
+ * a source (fresh package, run to the last departure) — the multicore
+ * analogue of evaluatePolicy(). The package never holds the job list.
  */
 MulticoreStats evaluateMulticorePolicy(const PlatformModel &platform,
                                        ServiceScaling scaling,

@@ -17,15 +17,11 @@ PreparedLog::fromJobs(const std::vector<Job> &jobs)
     log.cumSize.reserve(jobs.size());
     double cum = 0.0;
     double last_arrival = 0.0;
-    // Plain branches rather than fatalIf(): its std::string message
-    // would be built (and allocated) for every job.
     for (const Job &job : jobs) {
-        if (job.arrival < last_arrival)
-            fatal("PreparedLog: arrivals must be non-decreasing");
-        if (job.arrival < 0.0)
-            fatal("PreparedLog: negative arrival time");
-        if (job.size < 0.0)
-            fatal("PreparedLog: negative job size");
+        fatalIf(job.arrival < last_arrival,
+                "PreparedLog: arrivals must be non-decreasing");
+        fatalIf(job.arrival < 0.0, "PreparedLog: negative arrival time");
+        fatalIf(job.size < 0.0, "PreparedLog: negative job size");
         last_arrival = job.arrival;
         cum += job.size;
         log.arrival.push_back(job.arrival);

@@ -5,7 +5,11 @@
  * Follows the gem5 fatal/panic discipline: fatal() is for conditions caused
  * by the caller (bad configuration, invalid arguments) and throws
  * ConfigError; panic() is for violated internal invariants (library bugs)
- * and throws InternalError. Neither is used on hot simulation paths.
+ * and throws InternalError. Both build and throw an exception, so they
+ * belong on error paths only. fatalIf() runs on hot simulation paths (it
+ * guards every offered job) and is cheap when the check passes: its
+ * message is a std::string_view, and the std::string is built only when
+ * the check fails.
  */
 
 #ifndef SLEEPSCALE_UTIL_ERROR_HH
@@ -13,6 +17,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sleepscale {
 
@@ -50,15 +55,17 @@ class InternalError : public std::logic_error
 
 /**
  * Check a user-supplied condition, raising ConfigError when it fails.
+ * Allocates nothing when the check passes.
  *
- * @param ok Condition that must hold for the configuration to be valid.
- * @param msg Message used if the condition fails.
+ * @param bad Condition that makes the configuration or input invalid.
+ * @param msg Message used if the condition holds; copied into a
+ *            std::string only then.
  */
 inline void
-fatalIf(bool bad, const std::string &msg)
+fatalIf(bool bad, std::string_view msg)
 {
     if (bad)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
 } // namespace sleepscale

@@ -53,10 +53,9 @@ QuantileHistogram::add(double x)
 {
     // NaN would reach an undefined float-to-index cast in indexOf and
     // +inf would poison the exact moments, so both are rejected rather
-    // than silently landing in a boundary bucket. A plain branch, not
-    // fatalIf(), so a sample never builds the message string.
-    if (!std::isfinite(x) || x < 0.0)
-        fatal("QuantileHistogram::add: samples must be finite and >= 0");
+    // than silently landing in a boundary bucket.
+    fatalIf(!std::isfinite(x) || x < 0.0,
+            "QuantileHistogram::add: samples must be finite and >= 0");
     if (_buckets.empty())
         _buckets.assign(_gridBuckets, 0);
     ++_buckets[indexOf(x)];

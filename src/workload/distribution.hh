@@ -54,6 +54,7 @@ class Distribution
 class DeterministicDist final : public Distribution
 {
   public:
+    /** @param value The point mass (>= 0). */
     explicit DeterministicDist(double value);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -70,6 +71,7 @@ class DeterministicDist final : public Distribution
 class ExponentialDist final : public Distribution
 {
   public:
+    /** @param mean Mean (> 0). */
     explicit ExponentialDist(double mean);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -86,6 +88,7 @@ class ExponentialDist final : public Distribution
 class UniformDist final : public Distribution
 {
   public:
+    /** Bounds with 0 <= lo < hi. */
     UniformDist(double lo, double hi);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -106,6 +109,7 @@ class UniformDist final : public Distribution
 class GammaDist final : public Distribution
 {
   public:
+    /** @param mean Mean (> 0). @param cv Coefficient of variation (> 0). */
     GammaDist(double mean, double cv);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -128,6 +132,7 @@ class GammaDist final : public Distribution
 class LogNormalDist final : public Distribution
 {
   public:
+    /** @param mean Mean (> 0). @param cv Coefficient of variation (> 0). */
     LogNormalDist(double mean, double cv);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -148,6 +153,7 @@ class LogNormalDist final : public Distribution
 class WeibullDist final : public Distribution
 {
   public:
+    /** @param mean Mean (> 0). @param cv Coefficient of variation (> 0). */
     WeibullDist(double mean, double cv);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -175,6 +181,8 @@ class WeibullDist final : public Distribution
 class HyperExponentialDist final : public Distribution
 {
   public:
+    /** @param mean Mean (> 0). @param cv Coefficient of variation
+     * (>= 1; GammaDist covers Cv below 1). */
     HyperExponentialDist(double mean, double cv);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;
@@ -201,6 +209,7 @@ class HyperExponentialDist final : public Distribution
 class BoundedParetoDist final : public Distribution
 {
   public:
+    /** Support [lo, hi] with 0 < lo < hi, tail exponent alpha > 0. */
     BoundedParetoDist(double lo, double hi, double alpha);
     double sample(Rng &rng) const override;
     double cdf(double x) const override;

@@ -95,15 +95,9 @@ TraceDrivenSource::TraceDrivenSource(const WorkloadSpec &spec,
                                      UtilizationTrace trace,
                                      std::uint64_t seed,
                                      double rate_scale)
-    : TraceDrivenSource(spec, std::move(trace), Rng(seed), rate_scale)
-{}
-
-TraceDrivenSource::TraceDrivenSource(const WorkloadSpec &spec,
-                                     UtilizationTrace trace, Rng rng,
-                                     double rate_scale)
     : _serviceMean(spec.serviceMean), _trace(std::move(trace)),
       _unitGap(fitDistribution(1.0, spec.interArrivalCv)),
-      _service(spec.makeService()), _rateScale(rate_scale), _rng(rng)
+      _service(spec.makeService()), _rateScale(rate_scale), _rng(seed)
 {
     fatalIf(_trace.empty(), "TraceDrivenSource: empty trace");
     fatalIf(rate_scale <= 0.0,

@@ -122,7 +122,8 @@ class StationarySource final : public JobSource
     StationarySource(const WorkloadSpec &spec, double utilization,
                      std::uint64_t seed, double rate_scale = 1.0);
 
-    /** Continue from an explicit RNG state (materialized adapters). */
+    /** Continue from an explicit RNG state (clone(), and callers that
+     * keep drawing from one stream after the jobs). */
     StationarySource(std::unique_ptr<Distribution> inter_arrival,
                      std::unique_ptr<Distribution> service, Rng rng);
 
@@ -130,7 +131,7 @@ class StationarySource final : public JobSource
     void reset(std::uint64_t seed) override;
     std::unique_ptr<JobSource> clone() const override;
 
-    /** Current RNG state (for adapters that hand it back). */
+    /** Current RNG state, for a caller that keeps drawing from it. */
     const Rng &rng() const { return _rng; }
 
   private:
@@ -159,16 +160,9 @@ class TraceDrivenSource final : public JobSource
     TraceDrivenSource(const WorkloadSpec &spec, UtilizationTrace trace,
                       std::uint64_t seed, double rate_scale = 1.0);
 
-    /** Continue from an explicit RNG state (materialized adapters). */
-    TraceDrivenSource(const WorkloadSpec &spec, UtilizationTrace trace,
-                      Rng rng, double rate_scale = 1.0);
-
     bool next(Job &out) override;
     void reset(std::uint64_t seed) override;
     std::unique_ptr<JobSource> clone() const override;
-
-    /** Current RNG state (for adapters that hand it back). */
-    const Rng &rng() const { return _rng; }
 
   private:
     TraceDrivenSource(const TraceDrivenSource &other); // deep copy
@@ -274,6 +268,10 @@ class VectorSource final : public JobSource
 
     /** Non-owning view; `jobs` must outlive the source and its clones. */
     static VectorSource view(const std::vector<Job> &jobs);
+
+    /** A view of a temporary would dangle once the full expression
+     * ends; own the jobs with the constructor instead. */
+    static VectorSource view(std::vector<Job> &&) = delete;
 
     bool next(Job &out) override;
     /** Rewinds; the seed is ignored. */

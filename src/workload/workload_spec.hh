@@ -49,7 +49,7 @@ struct WorkloadSpec
     double interArrivalCv;     ///< Coefficient of variation.
     double serviceMean;        ///< Seconds of work at f = 1.
     double serviceCv;          ///< Coefficient of variation.
-    ServiceScaling scaling = ServiceScaling::cpuBound();
+    ServiceScaling scaling = ServiceScaling::cpuBound(); ///< Service-time law.
 
     /** Native utilization λ/µ = serviceMean / interArrivalMean. */
     double nativeUtilization() const;

@@ -9,8 +9,7 @@
 #include "power/platform_model.hh"
 #include "util/cli_args.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -104,14 +103,13 @@ TEST(EpochCsv, ExportsOneRowPerEpoch)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.2));
-    Rng rng(5);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, trace);
+    TraceDrivenSource source(dns, trace, 5);
 
     RuntimeConfig config;
     config.epochMinutes = 5;
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.2);
-    const RuntimeResult result = runtime.run(jobs, trace, predictor);
+    const RuntimeResult result = runtime.run(source, trace, predictor);
 
     const CsvTable table = epochsToCsv(result);
     EXPECT_EQ(table.rows.size(), result.epochs.size());

@@ -22,8 +22,7 @@
 #include "experiment/runner.hh"
 #include "experiment/scenario.hh"
 #include "power/platform_model.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -259,14 +258,13 @@ TEST(ControlLoop, ReconvergesWithinBoundedEpochsAfterLoadStep)
     std::vector<double> levels(100, 0.15);
     levels.insert(levels.end(), 200, 0.30);
     const UtilizationTrace trace("step", levels);
-    Rng rng(11);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, trace);
+    TraceDrivenSource source(dns, trace, 11);
 
     StrategyKnobs knobs;
     const RuntimeConfig config = strategyConfigByName("poet", knobs);
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.15);
-    const RuntimeResult result = runtime.run(jobs, trace, predictor);
+    const RuntimeResult result = runtime.run(source, trace, predictor);
 
     const std::size_t step_epoch = 100 / config.epochMinutes;
     ASSERT_GT(result.epochs.size(), step_epoch + 8);

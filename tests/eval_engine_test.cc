@@ -25,8 +25,7 @@
 #include "power/platform_model.hh"
 #include "sim/pending_queue.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 // Counts every global allocation, so a test can assert that a window
@@ -64,10 +63,10 @@ std::vector<Job>
 poissonLog(double rho, double service_mean, std::size_t n,
            std::uint64_t seed = 42)
 {
-    Rng rng(seed);
     ExponentialDist gaps(service_mean / rho);
     ExponentialDist sizes(service_mean);
-    return generateJobs(rng, gaps, sizes, n);
+    StationarySource source(gaps.clone(), sizes.clone(), seed);
+    return materialize(source, n);
 }
 
 /** A workload's moment-matched log at a target utilization. */
@@ -75,10 +74,8 @@ std::vector<Job>
 workloadLog(const WorkloadSpec &spec, double rho, std::size_t n,
             std::uint64_t seed)
 {
-    Rng rng(seed);
-    const auto gaps = spec.makeInterArrival(rho);
-    const auto sizes = spec.makeService();
-    return generateJobs(rng, *gaps, *sizes, n);
+    StationarySource source(spec, rho, seed);
+    return materialize(source, n);
 }
 
 void
@@ -632,6 +629,28 @@ TEST_F(EvalEngineTest, SearchAllocatesNothingAfterTheFirstSelection)
             }
         }
     }
+}
+
+TEST_F(EvalEngineTest, EvaluatePolicyAllocationsDoNotGrowWithTheLog)
+{
+    // The per-job checks (ServerSim::offerJob, ServiceScaling::factor)
+    // build no message string unless they fail, so a replay allocates
+    // the same few blocks for 1k jobs as for 10k.
+    const Policy policy{0.7, SleepPlan::immediate(LowPowerState::C6S3)};
+    const auto allocationsFor = [&](const std::vector<Job> &log) {
+        const std::size_t before = globalAllocations.load();
+        const PolicyEvaluation eval = evaluatePolicy(
+            xeon, ServiceScaling::cpuBound(), policy, log);
+        const std::size_t count = globalAllocations.load() - before;
+        EXPECT_EQ(eval.stats.completions, log.size());
+        return count;
+    };
+    const std::size_t small =
+        allocationsFor(poissonLog(0.3, 0.194, 1000, 17));
+    const std::size_t large =
+        allocationsFor(poissonLog(0.3, 0.194, 10000, 17));
+    EXPECT_EQ(small, large);
+    EXPECT_LE(large, 16u);
 }
 
 TEST_F(EvalEngineTest, CharacterizeRejectsBadCandidateLists)

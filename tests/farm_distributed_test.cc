@@ -19,7 +19,6 @@
 #include "farm/rate_scaler.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -200,7 +199,8 @@ runFarm(const PlatformModel &platform, const WorkloadSpec &workload,
 {
     const FarmRuntime runtime(platform, workload, config);
     OfflinePredictor predictor(trace.values());
-    return runtime.run(jobs, trace, predictor);
+    VectorSource source = VectorSource::view(jobs);
+    return runtime.run(source, trace, predictor);
 }
 
 // End to end: the distributed farm decides once per server, every
@@ -213,8 +213,8 @@ TEST(DistributedFarm, DecidesOnGridWithPinnedSleepPlan)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.25));
-    Rng rng(91);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 91, 4);
+    const auto jobs = materialize(source);
 
     const FarmRuntimeConfig config = distributedConfig(4);
     const FarmRuntimeResult result =
@@ -255,8 +255,8 @@ TEST(DistributedFarm, BusierServersRunAtLeastAsFast)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.3));
-    Rng rng(7);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 7, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = distributedConfig(4);
     config.dispatcher = "packing";
@@ -289,8 +289,8 @@ TEST(DistributedFarm, HeterogeneousPlatformsAreAccepted)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.25));
-    Rng rng(17);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 17, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = distributedConfig(4);
     config.platforms = {"xeon", "xeon", "atom", "atom"};

@@ -321,10 +321,9 @@ runFaultScenario(const FarmRuntimeConfig &config,
     const PlatformModel platform = platformByName("xeon");
     const WorkloadSpec workload = workloadByName("dns");
     FarmRuntime runtime(platform, workload, config);
-    const auto source =
-        makeFarmSource(workload, trace, config.farmSize, 1);
+    TraceDrivenSource source(workload, trace, 1, config.farmSize);
     const auto lc = makePredictor("LC", 10, trace.values());
-    return runtime.run(*source, trace, predictor ? *predictor : *lc);
+    return runtime.run(source, trace, predictor ? *predictor : *lc);
 }
 
 void
@@ -659,11 +658,10 @@ runPin(const ScenarioSpec &spec)
 
     const UtilizationTrace trace = spec.trace.realize();
     FarmRuntime runtime(platform, workload, config);
-    const auto source =
-        makeFarmSource(workload, trace, spec.farmSize, spec.seed);
+    TraceDrivenSource source(workload, trace, spec.seed, spec.farmSize);
     const auto predictor = makePredictor(
         spec.predictor, spec.predictorHistory, trace.values());
-    return runtime.run(*source, trace, *predictor);
+    return runtime.run(source, trace, *predictor);
 }
 
 TEST(NoFaultPin, DecisionStreamsMatchTheFaultFreeRuntimeBitForBit)
@@ -1062,14 +1060,14 @@ TEST(FaultyFarmPin, ServerFarmRoutesEveryJobToThePinnedServer)
         ServerFarm farm(platform, ServiceScaling::cpuBound(), policy, size,
                         makeDispatcher(pin.dispatcher, mixSeed(2), 0.5));
         farm.setRecoverySeconds(10.0);
-        const auto source = makeFarmSource(workload, trace, size, 5);
+        TraceDrivenSource source(workload, trace, 5, size);
 
         std::uint64_t hash = 1469598103934665603ull;
         FaultEvent event;
         bool has_event = fault_source->next(event);
         std::size_t unrouted = 0;
         Job job;
-        while (source->next(job)) {
+        while (source.next(job)) {
             while (has_event && event.time <= job.arrival) {
                 if (event.down)
                     farm.failServer(event.server, event.time);

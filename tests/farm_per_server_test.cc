@@ -15,7 +15,6 @@
 #include "farm/farm_runtime.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -39,7 +38,8 @@ runFarm(const PlatformModel &platform, const WorkloadSpec &workload,
 {
     const FarmRuntime runtime(platform, workload, config);
     OfflinePredictor predictor(trace.values());
-    return runtime.run(jobs, trace, predictor);
+    VectorSource source = VectorSource::view(jobs);
+    return runtime.run(source, trace, predictor);
 }
 
 void
@@ -75,8 +75,8 @@ TEST(PerServerControl, Server0MatchesFarmWideOnTable5Workloads)
 
     for (const std::string name : {"dns", "mail", "google"}) {
         const WorkloadSpec workload = workloadByName(name);
-        Rng rng(91);
-        const auto jobs = generateFarmJobs(rng, workload, trace, 4);
+        TraceDrivenSource source(workload, trace, 91, 4);
+        const auto jobs = materialize(source);
 
         const FarmRuntimeResult wide = runFarm(
             xeon, workload, baseConfig(4, "farm-wide"), jobs, trace);
@@ -100,8 +100,8 @@ TEST(PerServerControl, AllServersMatchFarmWideOnSymmetricDnsFarm)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.2));
-    Rng rng(91);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 91, 4);
+    const auto jobs = materialize(source);
 
     const FarmRuntimeResult wide = runFarm(
         xeon, dns, baseConfig(4, "farm-wide"), jobs, trace);
@@ -121,8 +121,8 @@ TEST(PerServerControl, HeterogeneousBigLittleFarmDiverges)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.3));
-    Rng rng(17);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 17, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = baseConfig(4, "per-server");
     config.platforms = {"xeon", "xeon", "atom", "atom"};
@@ -155,8 +155,8 @@ TEST(PerServerControl, PerServerStatsSumToFarmTotals)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.25));
-    Rng rng(23);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 23, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config = baseConfig(4, "per-server");
     config.platforms = {"xeon", "atom", "xeon", "atom"};
@@ -188,8 +188,8 @@ TEST(PerServerControl, DecisionPoolWidthDoesNotChangeDecisions)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.3));
-    Rng rng(41);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 41, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig serial = baseConfig(4, "per-server");
     serial.decisionThreads = 1;
@@ -218,8 +218,8 @@ TEST(PerServerControl, FixedPolicyMatchesFarmWideExactly)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(15, 0.2));
-    Rng rng(53);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 3);
+    TraceDrivenSource source(dns, trace, 53, 3);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig wide = baseConfig(3, "farm-wide");
     wide.perServer.fixedPolicy = raceToHalt(LowPowerState::C6S0Idle);
@@ -242,8 +242,8 @@ TEST(PerServerControl, ManagersPersistAcrossRuns)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(15, 0.3));
-    Rng rng(61);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 2);
+    TraceDrivenSource source(dns, trace, 61, 2);
+    const auto same_jobs = source.clone();
 
     const FarmRuntime runtime(xeon, dns,
                               baseConfig(2, "per-server"));
@@ -254,8 +254,8 @@ TEST(PerServerControl, ManagersPersistAcrossRuns)
     EXPECT_NE(first, second);
 
     OfflinePredictor p1(trace.values()), p2(trace.values());
-    const FarmRuntimeResult a = runtime.run(jobs, trace, p1);
-    const FarmRuntimeResult b = runtime.run(jobs, trace, p2);
+    const FarmRuntimeResult a = runtime.run(source, trace, p1);
+    const FarmRuntimeResult b = runtime.run(*same_jobs, trace, p2);
     EXPECT_EQ(first, &runtime.serverManager(0));
     EXPECT_DOUBLE_EQ(a.total.energy, b.total.energy);
 }
@@ -266,8 +266,8 @@ TEST(PerServerControl, IdleServerIsNotVacuouslyWithinBudget)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(15, 0.1));
-    Rng rng(71);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 3);
+    TraceDrivenSource source(dns, trace, 71, 3);
+    const auto jobs = materialize(source);
 
     // A packing dispatcher with an unreachable spill threshold funnels
     // every job to server 0; the starved tail must not claim budget

@@ -332,7 +332,8 @@ runScale(const FarmRuntimeConfig &config, const std::vector<Job> &jobs,
     const WorkloadSpec dns = dnsWorkload();
     const FarmRuntime runtime(xeon, dns, config);
     OfflinePredictor predictor(trace.values());
-    return runtime.run(jobs, trace, predictor);
+    VectorSource source = VectorSource::view(jobs);
+    return runtime.run(source, trace, predictor);
 }
 
 void
@@ -377,9 +378,8 @@ expectBitIdentical(const FarmRuntimeResult &got,
 TEST(FarmScale, ShardCountIsBitIdentical)
 {
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.3));
-    Rng rng(23);
-    const auto jobs =
-        generateFarmJobs(rng, dnsWorkload(), trace, 96);
+    TraceDrivenSource source(dnsWorkload(), trace, 23, 96);
+    const auto jobs = materialize(source);
 
     for (const std::string control : {"farm-wide", "per-server"}) {
         FarmRuntimeConfig serial = scaleConfig(96, control);
@@ -402,9 +402,8 @@ TEST(FarmScale, ShardCountIsBitIdentical)
 TEST(FarmScale, TailHistogramOptOutKeepsScalarStatsBitIdentical)
 {
     const UtilizationTrace trace("flat", std::vector<double>(10, 0.3));
-    Rng rng(29);
-    const auto jobs =
-        generateFarmJobs(rng, dnsWorkload(), trace, 16);
+    TraceDrivenSource source(dnsWorkload(), trace, 29, 16);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig with = scaleConfig(16, "farm-wide");
     FarmRuntimeConfig without = scaleConfig(16, "farm-wide");
@@ -471,8 +470,8 @@ TEST(FarmScale, TenThousandServerMillionJobRunConserves)
 {
     const std::size_t size = 10000;
     const UtilizationTrace trace("flat", std::vector<double>(2, 0.17));
-    Rng rng(42);
-    const auto jobs = generateFarmJobs(rng, dnsWorkload(), trace, size);
+    TraceDrivenSource source(dnsWorkload(), trace, 42, size);
+    const auto jobs = materialize(source);
     ASSERT_GT(jobs.size(), 1000000u);
 
     FarmRuntimeConfig config = scaleConfig(size, "farm-wide");

@@ -13,8 +13,7 @@
 #include "farm/server_farm.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -156,9 +155,9 @@ class FarmTest : public ::testing::Test
 TEST_F(FarmTest, JobsConservedAcrossServers)
 {
     ServerFarm farm = makeFarm(4, "random");
-    Rng rng(3);
     ExponentialDist gaps(0.05), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 5000);
+    StationarySource source(gaps.clone(), sizes.clone(), 3);
+    const auto jobs = materialize(source, 5000);
     for (const Job &job : jobs)
         farm.offerJob(job);
     farm.advanceTo(farm.nextFreeTime());
@@ -224,9 +223,9 @@ TEST_F(FarmTest, FarmEnergyIsSumOfServers)
 
 TEST_F(FarmTest, JsqBeatsRandomOnResponse)
 {
-    Rng rng(11);
     ExponentialDist gaps(0.194 / (0.6 * 4)), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 40000);
+    StationarySource source(gaps.clone(), sizes.clone(), 11);
+    const auto jobs = materialize(source, 40000);
 
     auto run = [&](const std::string &dispatcher) {
         ServerFarm farm = makeFarm(4, dispatcher);
@@ -244,9 +243,9 @@ TEST_F(FarmTest, PackingConcentratesLoad)
 {
     // At low load the packing dispatcher should leave some servers
     // nearly untouched while random spreads work everywhere.
-    Rng rng(13);
     ExponentialDist gaps(0.194 / (0.1 * 4)), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(gaps.clone(), sizes.clone(), 13);
+    const auto jobs = materialize(source, 20000);
 
     ServerFarm packed = makeFarm(4, "packing");
     for (const Job &job : jobs)
@@ -260,9 +259,9 @@ TEST_F(FarmTest, PackingConcentratesLoad)
 
 TEST_F(FarmTest, PackingSavesIdlePowerAtLowLoad)
 {
-    Rng rng(17);
     ExponentialDist gaps(0.194 / (0.1 * 4)), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(gaps.clone(), sizes.clone(), 17);
+    const auto jobs = materialize(source, 20000);
 
     auto power = [&](const std::string &dispatcher) {
         ServerFarm farm = makeFarm(4, dispatcher);
@@ -308,8 +307,8 @@ TEST(FarmRuntime, ConservesJobsAndMeetsSanityBounds)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(30, 0.3));
-    Rng rng(21);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 21, 4);
+    const auto jobs = materialize(source);
 
     FarmRuntimeConfig config;
     config.farmSize = 4;
@@ -317,7 +316,9 @@ TEST(FarmRuntime, ConservesJobsAndMeetsSanityBounds)
     config.perServer.epochMinutes = 5;
     const FarmRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.3);
-    const FarmRuntimeResult result = runtime.run(jobs, trace, predictor);
+    VectorSource replay = VectorSource::view(jobs);
+    const FarmRuntimeResult result =
+        runtime.run(replay, trace, predictor);
 
     EXPECT_EQ(result.total.completions, jobs.size());
     // Farm power must lie between 4 sleeping and 4 flat-out servers.
@@ -332,10 +333,12 @@ TEST(FarmRuntime, AggregateLoadMatchesTraceTimesSize)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.25));
-    Rng rng(23);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 8);
-    const double load = offeredLoad(jobs, trace.duration());
-    EXPECT_NEAR(load, 0.25 * 8.0, 0.25);
+    TraceDrivenSource source(dns, trace, 23, 8);
+    const auto jobs = materialize(source);
+    double demand = 0.0;
+    for (const Job &job : jobs)
+        demand += job.size;
+    EXPECT_NEAR(demand / trace.duration(), 0.25 * 8.0, 0.25);
 }
 
 TEST(FarmRuntime, FixedPolicyFarmRunsRaceToHalt)
@@ -344,8 +347,7 @@ TEST(FarmRuntime, FixedPolicyFarmRunsRaceToHalt)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(20, 0.2));
-    Rng rng(29);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 2);
+    TraceDrivenSource source(dns, trace, 29, 2);
 
     FarmRuntimeConfig config;
     config.farmSize = 2;
@@ -353,7 +355,8 @@ TEST(FarmRuntime, FixedPolicyFarmRunsRaceToHalt)
         raceToHalt(LowPowerState::C6S0Idle);
     const FarmRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.2);
-    const FarmRuntimeResult result = runtime.run(jobs, trace, predictor);
+    const FarmRuntimeResult result =
+        runtime.run(source, trace, predictor);
     for (const EpochReport &epoch : result.epochs)
         EXPECT_DOUBLE_EQ(epoch.policy.frequency, 1.0);
 }
@@ -364,8 +367,8 @@ TEST(FarmRuntime, SleepScaleFarmBeatsRaceToHaltFarm)
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat",
                                  std::vector<double>(60, 0.15));
-    Rng rng(31);
-    const auto jobs = generateFarmJobs(rng, dns, trace, 4);
+    TraceDrivenSource source(dns, trace, 31, 4);
+    const auto same_jobs = source.clone();
 
     FarmRuntimeConfig ss;
     ss.farmSize = 4;
@@ -375,9 +378,9 @@ TEST(FarmRuntime, SleepScaleFarmBeatsRaceToHaltFarm)
 
     NaivePreviousPredictor p1(0.15), p2(0.15);
     const FarmRuntimeResult ss_result =
-        FarmRuntime(xeon, dns, ss).run(jobs, trace, p1);
+        FarmRuntime(xeon, dns, ss).run(source, trace, p1);
     const FarmRuntimeResult r2h_result =
-        FarmRuntime(xeon, dns, r2h).run(jobs, trace, p2);
+        FarmRuntime(xeon, dns, r2h).run(*same_jobs, trace, p2);
     EXPECT_LT(ss_result.avgPower(), r2h_result.avgPower());
 }
 
@@ -387,12 +390,8 @@ TEST(FarmRuntime, ValidationGuards)
     FarmRuntimeConfig zero;
     zero.farmSize = 0;
     EXPECT_THROW(FarmRuntime(xeon, dnsWorkload(), zero), ConfigError);
-    Rng rng(1);
-    EXPECT_THROW(generateFarmJobs(rng, dnsWorkload(),
-                                  UtilizationTrace("t", {0.1}), 0),
-                 ConfigError);
-    EXPECT_THROW(makeFarmSource(dnsWorkload(),
-                                UtilizationTrace("t", {0.1}), 0, 1),
+    EXPECT_THROW(TraceDrivenSource(dnsWorkload(),
+                                   UtilizationTrace("t", {0.1}), 1, 0),
                  ConfigError);
 }
 
@@ -434,7 +433,7 @@ TEST(FarmRuntime, MillionJobDayStreamsInBoundedMemory)
     // 4.2 ms mean service: ~1.2 million aggregate arrivals.
     const UtilizationTrace trace("flat",
                                  std::vector<double>(60, 0.35));
-    const auto source = makeFarmSource(google, trace, 4, 47);
+    TraceDrivenSource source(google, trace, 47, 4);
 
     FarmRuntimeConfig config;
     config.farmSize = 4;
@@ -445,7 +444,7 @@ TEST(FarmRuntime, MillionJobDayStreamsInBoundedMemory)
     const FarmRuntime runtime(xeon, google, config);
     NaivePreviousPredictor predictor(0.35);
     const FarmRuntimeResult result =
-        runtime.run(*source, trace, predictor);
+        runtime.run(source, trace, predictor);
 
     EXPECT_GE(result.total.arrivals, 1000000u);
     EXPECT_EQ(result.total.completions, result.total.arrivals);

@@ -15,8 +15,7 @@
 #include "core/runtime.hh"
 #include "core/strategies.hh"
 #include "power/platform_model.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 #include "workload/utilization_trace.hh"
 
 namespace sleepscale {
@@ -36,7 +35,8 @@ class EndToEnd : public ::testing::Test
             makeStrategyConfig(kind, 5, 0.35, 0.8);
         const SleepScaleRuntime runtime(xeon, dns, config);
         LmsCusumPredictor predictor(10);
-        return runtime.run(jobs, trace, predictor);
+        VectorSource source = VectorSource::view(jobs);
+        return runtime.run(source, trace, predictor);
     }
 };
 
@@ -46,8 +46,8 @@ TEST_F(EndToEnd, SleepScaleBeatsConventionalStrategiesOnPower)
     // evaluated over the 2AM-8PM window.
     const UtilizationTrace day = synthEmailStoreTrace(1, 2014);
     const UtilizationTrace window = day.dailyWindow(2, 20);
-    Rng rng(77);
-    const auto jobs = generateTraceDrivenJobs(rng, dns, window);
+    TraceDrivenSource source(dns, window, 77);
+    const auto jobs = materialize(source);
 
     std::map<StrategyKind, RuntimeResult> results;
     for (StrategyKind kind : allStrategies)
@@ -77,8 +77,9 @@ TEST_F(EndToEnd, SleepScaleBeatsConventionalStrategiesOnPower)
         makeStrategyConfig(StrategyKind::SleepScale, 1, 0.35, 0.8);
     const SleepScaleRuntime genie_runtime(xeon, dns, genie);
     OfflinePredictor offline(window.values());
+    VectorSource replay = VectorSource::view(jobs);
     const RuntimeResult genie_result =
-        genie_runtime.run(jobs, window, offline);
+        genie_runtime.run(replay, window, offline);
     EXPECT_TRUE(genie_result.withinBudget());
 }
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "core/predictor.hh"
 #include "core/runtime.hh"
@@ -18,7 +19,6 @@
 #include "power/platform_model.hh"
 #include "util/error.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 
 namespace sleepscale {
 namespace {
@@ -97,18 +97,6 @@ TEST(JobSourceDeterminism, CloneAtStartMatchesWholeStream)
     TraceDrivenSource source(mailWorkload(), trace, 3);
     const auto copy = source.clone();
     expectSameJobs(drain(source), drain(*copy));
-}
-
-TEST(JobSourceDeterminism, TraceSourceMatchesMaterializedGenerator)
-{
-    // The legacy generator is now an adapter over the source; pin the
-    // bit-equality so existing seeds keep their published results.
-    const UtilizationTrace trace("flat", std::vector<double>(15, 0.25));
-    Rng rng(21);
-    const auto generated =
-        generateTraceDrivenJobs(rng, dnsWorkload(), trace);
-    TraceDrivenSource source(dnsWorkload(), trace, 21);
-    expectSameJobs(generated, drain(source));
 }
 
 TEST(JobSourceDeterminism, ArrivalsAreNonDecreasing)
@@ -481,9 +469,24 @@ TEST(JobSourceRegistry, UnknownNamesAndMissingParamsFailFast)
     EXPECT_THROW(makeJobSource("replay", config), ConfigError);
 }
 
+// ---------------------------------------------------------- VectorSource
+
+/** Whether VectorSource::view() accepts a list of this value category. */
+template <typename List>
+constexpr bool viewCompiles = requires(List &&jobs) {
+    VectorSource::view(std::forward<List>(jobs));
+};
+
+// A view keeps a pointer to the list, so a temporary must not bind:
+// VectorSource::view(materialize(source)) would dangle at once.
+static_assert(viewCompiles<std::vector<Job> &>);
+static_assert(viewCompiles<const std::vector<Job> &>);
+static_assert(!viewCompiles<std::vector<Job>>);
+static_assert(!viewCompiles<std::vector<Job> &&>);
+
 // -------------------------------------- streaming == materialized engines
 
-TEST(StreamingEquivalence, SingleServerMatchesVectorRunOnTable5)
+TEST(StreamingEquivalence, SingleServerMatchesListReplayOnTable5)
 {
     const PlatformModel xeon = PlatformModel::xeon();
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.25));
@@ -499,8 +502,9 @@ TEST(StreamingEquivalence, SingleServerMatchesVectorRunOnTable5)
         const SleepScaleRuntime runtime(xeon, workload, config);
         NaivePreviousPredictor p1(0.25), p2(0.25);
         const RuntimeResult streamed = runtime.run(source, trace, p1);
+        VectorSource replay = VectorSource::view(jobs);
         const RuntimeResult materialized =
-            runtime.run(jobs, trace, p2);
+            runtime.run(replay, trace, p2);
 
         ASSERT_EQ(streamed.epochs.size(), materialized.epochs.size())
             << name;
@@ -520,14 +524,14 @@ TEST(StreamingEquivalence, SingleServerMatchesVectorRunOnTable5)
     }
 }
 
-TEST(StreamingEquivalence, FarmMatchesVectorRun)
+TEST(StreamingEquivalence, FarmMatchesListReplay)
 {
     const PlatformModel xeon = PlatformModel::xeon();
     const WorkloadSpec dns = dnsWorkload();
     const UtilizationTrace trace("flat", std::vector<double>(20, 0.2));
 
-    const auto source = makeFarmSource(dns, trace, 4, 31);
-    const auto jobs = materialize(*source->clone());
+    TraceDrivenSource source(dns, trace, 31, 4);
+    const auto jobs = materialize(*source.clone());
 
     FarmRuntimeConfig config;
     config.farmSize = 4;
@@ -535,10 +539,10 @@ TEST(StreamingEquivalence, FarmMatchesVectorRun)
     config.perServer.epochMinutes = 5;
     const FarmRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor p1(0.2), p2(0.2);
-    const FarmRuntimeResult streamed =
-        runtime.run(*source, trace, p1);
+    const FarmRuntimeResult streamed = runtime.run(source, trace, p1);
+    VectorSource replay = VectorSource::view(jobs);
     const FarmRuntimeResult materialized =
-        runtime.run(jobs, trace, p2);
+        runtime.run(replay, trace, p2);
 
     EXPECT_EQ(streamed.total.completions,
               materialized.total.completions);
@@ -551,7 +555,7 @@ TEST(StreamingEquivalence, FarmMatchesVectorRun)
                   materialized.jobsPerServer[i]);
 }
 
-TEST(StreamingEquivalence, MulticoreMatchesVectorEvaluation)
+TEST(StreamingEquivalence, MulticoreMatchesListReplay)
 {
     const PlatformModel xeon = PlatformModel::xeon();
     const WorkloadSpec dns = dnsWorkload();
@@ -562,8 +566,9 @@ TEST(StreamingEquivalence, MulticoreMatchesVectorEvaluation)
     policy.frequency = 0.8;
     const MulticoreStats streamed = evaluateMulticorePolicy(
         xeon, dns.scaling, 4, policy, source, 20000);
+    VectorSource replay = VectorSource::view(jobs);
     const MulticoreStats materialized = evaluateMulticorePolicy(
-        xeon, dns.scaling, 4, policy, jobs);
+        xeon, dns.scaling, 4, policy, replay, jobs.size());
     EXPECT_EQ(streamed.completions, materialized.completions);
     EXPECT_EQ(streamed.energy, materialized.energy);
     EXPECT_EQ(streamed.response.mean(), materialized.response.mean());

@@ -17,8 +17,7 @@
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -34,10 +33,20 @@ class Multicore : public ::testing::Test
     poissonJobs(double rho, double service_mean, std::size_t n,
                 std::uint64_t seed, double capacity = 1.0) const
     {
-        Rng rng(seed);
         ExponentialDist gaps(service_mean / (rho * capacity));
         ExponentialDist sizes(service_mean);
-        return generateJobs(rng, gaps, sizes, n);
+        StationarySource source(gaps.clone(), sizes.clone(), seed);
+        return materialize(source, n);
+    }
+
+    /** evaluateMulticorePolicy() over every job of a list. */
+    MulticoreStats
+    evaluateList(std::size_t cores, const MulticorePolicy &policy,
+                 const std::vector<Job> &jobs) const
+    {
+        VectorSource source = VectorSource::view(jobs);
+        return evaluateMulticorePolicy(xeon, ServiceScaling::cpuBound(),
+                                       cores, policy, source, jobs.size());
     }
 };
 
@@ -51,8 +60,7 @@ TEST_F(Multicore, OneCoreNoPackageSleepEqualsServerSim)
     mc.frequency = 0.8;
     mc.corePlan = SleepPlan::immediate(LowPowerState::C6S0Idle);
     mc.packageSleepDelay = inf;
-    const MulticoreStats multi = evaluateMulticorePolicy(
-        xeon, ServiceScaling::cpuBound(), 1, mc, jobs);
+    const MulticoreStats multi = evaluateList(1, mc, jobs);
 
     const PolicyEvaluation single = evaluatePolicy(
         xeon, ServiceScaling::cpuBound(),
@@ -73,8 +81,7 @@ TEST_F(Multicore, OneCoreImmediatePackageSleepEqualsC6S3)
     mc.frequency = 0.5;
     mc.corePlan = SleepPlan::immediate(LowPowerState::C6S0Idle);
     mc.packageSleepDelay = 0.0;
-    const MulticoreStats multi = evaluateMulticorePolicy(
-        xeon, ServiceScaling::cpuBound(), 1, mc, jobs);
+    const MulticoreStats multi = evaluateList(1, mc, jobs);
 
     const PolicyEvaluation single = evaluatePolicy(
         xeon, ServiceScaling::cpuBound(),
@@ -187,8 +194,7 @@ TEST_F(Multicore, ConsolidationBeatsIndependentServersAtLowLoad)
     MulticorePolicy mc;
     mc.corePlan = SleepPlan::immediate(LowPowerState::C6S0Idle);
     mc.packageSleepDelay = 1.0;
-    const MulticoreStats package = evaluateMulticorePolicy(
-        xeon, ServiceScaling::cpuBound(), 4, mc, jobs);
+    const MulticoreStats package = evaluateList(4, mc, jobs);
 
     // Four separate servers under round-robin splitting.
     double separate_energy = 0.0;
@@ -213,10 +219,8 @@ TEST_F(Multicore, MoreCoresLowerResponseAtFixedTotalLoad)
     mc.corePlan = SleepPlan::immediate(LowPowerState::C6S0Idle);
     mc.packageSleepDelay = inf;
 
-    const MulticoreStats one = evaluateMulticorePolicy(
-        xeon, ServiceScaling::cpuBound(), 4, mc, jobs);
-    const MulticoreStats two = evaluateMulticorePolicy(
-        xeon, ServiceScaling::cpuBound(), 8, mc, jobs);
+    const MulticoreStats one = evaluateList(4, mc, jobs);
+    const MulticoreStats two = evaluateList(8, mc, jobs);
     EXPECT_LT(two.response.mean(), one.response.mean());
 }
 

@@ -11,8 +11,7 @@
 #include "core/policy_space.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -63,10 +62,10 @@ class ManagerTest : public ::testing::Test
     poissonLog(double rho, double service_mean, std::size_t n,
                std::uint64_t seed = 42) const
     {
-        Rng rng(seed);
         ExponentialDist gaps(service_mean / rho);
         ExponentialDist sizes(service_mean);
-        return generateJobs(rng, gaps, sizes, n);
+        StationarySource source(gaps.clone(), sizes.clone(), seed);
+        return materialize(source, n);
     }
 };
 

@@ -11,8 +11,7 @@
 #include "core/strategies.hh"
 #include "power/platform_model.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -30,18 +29,18 @@ class RuntimeTest : public ::testing::Test
                                 std::vector<double>(minutes, level));
     }
 
-    std::vector<Job>
+    TraceDrivenSource
     jobsFor(const UtilizationTrace &trace, std::uint64_t seed = 9) const
     {
-        Rng rng(seed);
-        return generateTraceDrivenJobs(rng, dns, trace);
+        return TraceDrivenSource(dns, trace, seed);
     }
 };
 
 TEST_F(RuntimeTest, ConservesJobs)
 {
     const UtilizationTrace trace = flatTrace(30, 0.3);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
+    const std::size_t offered = materialize(*jobs.clone()).size();
 
     RuntimeConfig config;
     config.epochMinutes = 5;
@@ -49,14 +48,14 @@ TEST_F(RuntimeTest, ConservesJobs)
     NaivePreviousPredictor predictor(0.3);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
 
-    EXPECT_EQ(result.total.arrivals, jobs.size());
-    EXPECT_EQ(result.total.completions, jobs.size());
+    EXPECT_EQ(result.total.arrivals, offered);
+    EXPECT_EQ(result.total.completions, offered);
 }
 
 TEST_F(RuntimeTest, EpochCountMatchesTrace)
 {
     const UtilizationTrace trace = flatTrace(30, 0.2);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
     RuntimeConfig config;
     config.epochMinutes = 5;
     const SleepScaleRuntime runtime(xeon, dns, config);
@@ -70,7 +69,7 @@ TEST_F(RuntimeTest, EpochCountMatchesTrace)
 TEST_F(RuntimeTest, EnergyAccountingIsContiguous)
 {
     const UtilizationTrace trace = flatTrace(20, 0.25);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
     RuntimeConfig config;
     config.epochMinutes = 4;
     const SleepScaleRuntime runtime(xeon, dns, config);
@@ -92,7 +91,7 @@ TEST_F(RuntimeTest, EnergyAccountingIsContiguous)
 TEST_F(RuntimeTest, AveragePowerWithinModelBounds)
 {
     const UtilizationTrace trace = flatTrace(30, 0.3);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
     const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
     NaivePreviousPredictor predictor(0.3);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
@@ -103,7 +102,7 @@ TEST_F(RuntimeTest, AveragePowerWithinModelBounds)
 TEST_F(RuntimeTest, FixedPolicyNeverChanges)
 {
     const UtilizationTrace trace = flatTrace(20, 0.4);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
     RuntimeConfig config;
     config.fixedPolicy = raceToHalt(LowPowerState::C6S0Idle);
     const SleepScaleRuntime runtime(xeon, dns, config);
@@ -119,7 +118,7 @@ TEST_F(RuntimeTest, FixedPolicyNeverChanges)
 TEST_F(RuntimeTest, StateSelectionFractionsSumToOne)
 {
     const UtilizationTrace trace = flatTrace(40, 0.2);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
     const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
     NaivePreviousPredictor predictor(0.2);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
@@ -133,7 +132,7 @@ TEST_F(RuntimeTest, StateSelectionFractionsSumToOne)
 TEST_F(RuntimeTest, DvfsOnlyNeverSleepsDeep)
 {
     const UtilizationTrace trace = flatTrace(30, 0.3);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
     const RuntimeConfig config =
         makeStrategyConfig(StrategyKind::DvfsOnly, 5, 0.0, 0.8);
     const SleepScaleRuntime runtime(xeon, dns, config);
@@ -147,7 +146,8 @@ TEST_F(RuntimeTest, DvfsOnlyNeverSleepsDeep)
 TEST_F(RuntimeTest, OverProvisioningBoostsFrequency)
 {
     const UtilizationTrace trace = flatTrace(40, 0.2);
-    const auto jobs = jobsFor(trace);
+    auto jobs = jobsFor(trace);
+    const auto same_jobs = jobs.clone();
 
     RuntimeConfig plain;
     plain.overProvision = 0.0;
@@ -158,7 +158,7 @@ TEST_F(RuntimeTest, OverProvisioningBoostsFrequency)
     const RuntimeResult without =
         SleepScaleRuntime(xeon, dns, plain).run(jobs, trace, p1);
     const RuntimeResult with =
-        SleepScaleRuntime(xeon, dns, guarded).run(jobs, trace, p2);
+        SleepScaleRuntime(xeon, dns, guarded).run(*same_jobs, trace, p2);
 
     // Some epoch must be boosted once the budget is met...
     bool any_boost = false;
@@ -206,7 +206,8 @@ TEST_F(RuntimeTest, ValidationRejectsBadConfig)
 
     const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
     NaivePreviousPredictor predictor;
-    EXPECT_THROW(runtime.run({}, UtilizationTrace{}, predictor),
+    VectorSource none(std::vector<Job>{});
+    EXPECT_THROW(runtime.run(none, UtilizationTrace{}, predictor),
                  ConfigError);
 }
 
@@ -216,8 +217,9 @@ TEST_F(RuntimeTest, EmptyRunIsNotWithinBudget)
     // the budget with (the farm's rule too).
     const SleepScaleRuntime runtime(xeon, dns, RuntimeConfig{});
     NaivePreviousPredictor predictor;
+    VectorSource none(std::vector<Job>{});
     const RuntimeResult result =
-        runtime.run(std::vector<Job>{}, flatTrace(20, 0.0), predictor);
+        runtime.run(none, flatTrace(20, 0.0), predictor);
     EXPECT_EQ(result.total.completions, 0u);
     EXPECT_FALSE(result.withinBudget());
 }
@@ -231,14 +233,15 @@ TEST_F(RuntimeTest, BacklogCarriesAcrossEpochs)
     levels[10] = 0.9;
     levels[11] = 0.9;
     const UtilizationTrace trace("spike", levels);
-    const auto jobs = jobsFor(trace, 17);
+    auto jobs = jobsFor(trace, 17);
+    const std::size_t offered = materialize(*jobs.clone()).size();
 
     RuntimeConfig config;
     config.epochMinutes = 5;
     const SleepScaleRuntime runtime(xeon, dns, config);
     NaivePreviousPredictor predictor(0.05);
     const RuntimeResult result = runtime.run(jobs, trace, predictor);
-    EXPECT_EQ(result.total.completions, jobs.size());
+    EXPECT_EQ(result.total.completions, offered);
 }
 
 // -------------------------------------------------------- strategy kinds

@@ -39,7 +39,6 @@
 #include "sim/server_sim.hh"
 #include "util/rng.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 
 namespace sleepscale {
 namespace {
@@ -86,7 +85,9 @@ runScenario(std::uint64_t seed, const PlatformModel &platform)
     const double rho = rng.uniform(0.05, 0.6);
     ExponentialDist gaps(service_mean / rho);
     ExponentialDist sizes(service_mean);
-    const auto jobs = generateJobs(rng, gaps, sizes, 4000);
+    StationarySource source(gaps.clone(), sizes.clone(), rng);
+    const auto jobs = materialize(source, 4000);
+    rng = source.rng();
 
     ServerSim sim(platform, ServiceScaling::cpuBound(),
                   randomPolicy(rng));
@@ -163,9 +164,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimFuzz,
 TEST(SimFuzzWindows, WindowedRunMatchesOneShotRun)
 {
     const PlatformModel xeon = PlatformModel::xeon();
-    Rng rng(404);
     ExponentialDist gaps(0.4), sizes(0.194);
-    const auto jobs = generateJobs(rng, gaps, sizes, 20000);
+    StationarySource source(gaps.clone(), sizes.clone(), 404);
+    const auto jobs = materialize(source, 20000);
     const Policy policy{0.7, SleepPlan::immediate(LowPowerState::C6S3)};
 
     // One shot.
@@ -218,7 +219,8 @@ TEST_P(PlanFuzz, AnalyticMatchesSimulationForRandomPlans)
 
     ExponentialDist gaps(service_mean / rho);
     ExponentialDist sizes(service_mean);
-    const auto jobs = generateJobs(rng, gaps, sizes, 250000);
+    StationarySource source(gaps.clone(), sizes.clone(), rng);
+    const auto jobs = materialize(source, 250000);
     const PolicyEvaluation eval =
         evaluatePolicy(xeon, ServiceScaling::cpuBound(), policy, jobs);
 
@@ -379,8 +381,9 @@ TEST_P(SourceFuzz, StreamingMatchesMaterializedThroughEngine)
         runtime.run(*streaming, trace, *stream_predictor);
     const auto vector_predictor =
         makePredictor("NP", 10, trace.values());
+    VectorSource replay = VectorSource::view(jobs);
     const RuntimeResult from_vector =
-        runtime.run(jobs, trace, *vector_predictor);
+        runtime.run(replay, trace, *vector_predictor);
 
     EXPECT_EQ(from_stream.total.arrivals, from_vector.total.arrivals);
     EXPECT_EQ(from_stream.total.completions,
@@ -536,10 +539,9 @@ runFuzzFarm(Rng &rng, const std::string &faults, std::uint64_t seed,
     config.recoverySeconds = knobs.uniform(0.0, 30.0);
 
     FarmRuntime runtime(xeon, workload, config);
-    const auto source =
-        makeFarmSource(workload, trace, config.farmSize, seed);
+    TraceDrivenSource source(workload, trace, seed, config.farmSize);
     const auto predictor = makePredictor("NP", 10, trace.values());
-    return runtime.run(*source, trace, *predictor);
+    return runtime.run(source, trace, *predictor);
 }
 
 TEST_P(FaultFuzz, ConservationHoldsAtEveryEpochClose)

@@ -22,9 +22,8 @@
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
-#include "util/rng.hh"
 #include "util/student_t.hh"
-#include "workload/job_stream.hh"
+#include "workload/job_source.hh"
 
 namespace sleepscale {
 namespace {
@@ -376,11 +375,12 @@ coveragePoint(const PlatformModel &platform, const MM1SleepModel &model,
     responses.reserve(replications);
     powers.reserve(replications);
     for (std::size_t i = 0; i < replications; ++i) {
-        Rng rng(ReplicationPlan::replicationSeed(point_seed, i));
         ExponentialDist gaps(1.0 / lambda);
         ExponentialDist sizes(service_mean);
-        const auto jobs =
-            generateJobs(rng, gaps, sizes, jobs_per_replication);
+        StationarySource source(
+            gaps.clone(), sizes.clone(),
+            ReplicationPlan::replicationSeed(point_seed, i));
+        const auto jobs = materialize(source, jobs_per_replication);
         const PolicyEvaluation eval = evaluatePolicy(
             platform, ServiceScaling::cpuBound(), policy, jobs);
         responses.push_back(eval.meanResponse());

@@ -68,7 +68,6 @@
 #include "util/error.hh"
 #include "util/table_printer.hh"
 #include "workload/job_source.hh"
-#include "workload/job_stream.hh"
 
 using namespace sleepscale;
 
@@ -224,9 +223,8 @@ cmdSweep(const CliArgs &args)
     const auto count = args.getUnsigned("jobs", 20000);
     const PlatformModel platform = PlatformModel::xeon();
 
-    Rng rng(args.getUnsigned("seed", 1));
-    const auto jobs =
-        generateWorkloadJobs(rng, workload, rho, count);
+    StationarySource source(workload, rho, args.getUnsigned("seed", 1));
+    const auto jobs = materialize(source, count);
 
     TablePrinter table({"f", "mu*E[R]", "p95*mu", "E[P] [W]"});
     for (double f = rho + 0.02; f <= 1.0 + 1e-9; f += fstep) {
@@ -271,9 +269,9 @@ cmdSelect(const CliArgs &args)
         const double mu = 1.0 / workload.serviceMean;
         decision = manager.selectAnalytic(rho * mu, mu);
     } else {
-        Rng rng(args.getUnsigned("seed", 1));
-        const auto jobs =
-            generateWorkloadJobs(rng, workload, rho, 20000);
+        StationarySource source(workload, rho,
+                                args.getUnsigned("seed", 1));
+        const auto jobs = materialize(source, 20000);
         decision = manager.selectFromLog(jobs);
     }
 
