@@ -26,6 +26,8 @@
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
+#include "workload/distribution.hh"
+#include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
 
 namespace sleepscale {
@@ -245,6 +247,122 @@ TEST(OfflineOptDegenerate, RejectsMalformedInstances)
                  ConfigError);
     EXPECT_THROW(OfflineOptInstance::fromJobs({{5.0, 0.1, 0}}, 1.0),
                  ConfigError);
+}
+
+/** Poisson log of n jobs at load rho (mean size 0.194 s, the dns
+ * service mean) from the project's own deterministic generator. */
+std::vector<Job>
+poissonLog(double rho, std::size_t n, std::uint64_t seed)
+{
+    ExponentialDist gaps(0.194 / rho);
+    ExponentialDist sizes(0.194);
+    StationarySource source(gaps.clone(), sizes.clone(), seed);
+    return materialize(source, n);
+}
+
+/** One solve() instance and the exact outcome recorded for it. */
+struct PinCase
+{
+    const char *name;
+    double rho;
+    std::size_t jobs;
+    std::uint64_t seed;
+    double deadlineSlack;
+    std::size_t maxStates;
+    double energy;
+    double upperBound;
+    double epsilonEffective;
+    double mergeDebt;
+    std::size_t frontierPeak;
+    std::size_t coarsenings;
+    std::size_t violations;
+};
+
+TEST(OfflineOptPin, SolveOutcomesMatchPin)
+{
+    // Bit-exact pins of solve() on one instance per code path of the
+    // FPTAS pass; the regret goldens only check to 1e-9 relative.
+    constexpr double relaxed = std::numeric_limits<double>::infinity();
+    const PinCase cases[] = {
+        // High load: the coarse gap-calibrated probe certifies alone.
+        {"probe", 0.8, 1000, 7, relaxed, 4096, 0x1.6d111374d277ep+15,
+         0x1.704ba00c94ca4p+15, 0x1.21ce2db3f43p-7, 0x0p+0, 25, 0, 0},
+        // Critical load: the frontier passes kSoftFrontier and
+        // eta-merges run up debt.
+        {"merge", 0.65, 300, 7, relaxed, 4096, 0x1.bfddcae924c5cp+13,
+         0x1.cc4e8ce2b7b76p+13, 0x1.c719e38c8afp-6, 0x1.f71bb69dcdc9ap+4,
+         316, 0, 0},
+        // A tiny frontier cap: every pass but the last aborts on the
+        // coarsening budget, and the last coarsens throughout.
+        {"coarsen", 0.3, 500, 7, relaxed, 16, 0x1.10f5a3e6b4ab2p+15,
+         0x1.151c72611b497p+15, 0x1.f262d8043b5p-7, 0x0p+0, 16, 3655, 0},
+        // Per-job deadlines: infeasible jobs clamp to the top frequency.
+        {"deadline", 0.6, 500, 3, 0.5, 4096, 0x1.a36d2314ac16fp+14,
+         0x1.ac769f4d306dap+14, 0x1.6103659c51a8p-6, 0x0p+0, 16, 0, 244},
+    };
+    const PlatformModel xeon = PlatformModel::xeon();
+    for (const PinCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        OfflineOptOptions options;
+        options.maxStates = c.maxStates;
+        const OfflineOptimal oracle(xeon, ServiceScaling::cpuBound(),
+                                    options);
+        const auto jobs = poissonLog(c.rho, c.jobs, c.seed);
+        const OfflineOptResult result =
+            oracle.solve(OfflineOptInstance::fromJobs(
+                jobs, jobs.back().arrival + 1.0, c.deadlineSlack));
+        EXPECT_EQ(result.energy, c.energy);
+        EXPECT_EQ(result.upperBound, c.upperBound);
+        EXPECT_EQ(result.epsilonEffective, c.epsilonEffective);
+        EXPECT_EQ(result.mergeDebt, c.mergeDebt);
+        EXPECT_EQ(result.frontierPeak, c.frontierPeak);
+        EXPECT_EQ(result.coarsenings, c.coarsenings);
+        EXPECT_EQ(result.violations, c.violations);
+    }
+}
+
+TEST(OfflineOptPin, ExactScheduleMatchesPin)
+{
+    const PlatformModel xeon = PlatformModel::xeon();
+    OfflineOptOptions options;
+    options.frequencies = coarseGrid();
+    const OfflineOptimal oracle(xeon, ServiceScaling::cpuBound(), options);
+    // Long gaps (load 0.03) make the deepest state pay off on some.
+    const auto jobs = poissonLog(0.03, 8, 5);
+    const double horizon = jobs.back().arrival + 1.0;
+    constexpr double f04 = 0x1.999999999999ap-2;
+    constexpr double f06 = 0x1.3333333333334p-1;
+    constexpr double f08 = 0x1.999999999999ap-1;
+    constexpr double f10 = 0x1p+0;
+    constexpr LowPowerState shallow = LowPowerState::C0IdleS0Idle;
+    constexpr LowPowerState deep = LowPowerState::C6S3;
+
+    const OfflineOptResult relaxed =
+        oracle.solveExact(OfflineOptInstance::fromJobs(jobs, horizon));
+    EXPECT_EQ(relaxed.energy, 0x1.ff8f248e23201p+10);
+    EXPECT_EQ(relaxed.upperBound, relaxed.energy);
+    EXPECT_EQ(relaxed.violations, 0u);
+    EXPECT_EQ(relaxed.frontierPeak, 6u);
+    EXPECT_EQ(relaxed.jobFrequencies,
+              (std::vector<double>{f04, f04, f08, f04, f06, f06, f06,
+                                   f08}));
+    EXPECT_EQ(relaxed.gapStates,
+              (std::vector<LowPowerState>{deep, deep, shallow, deep,
+                                          shallow, shallow, shallow,
+                                          shallow}));
+
+    const OfflineOptResult constrained = oracle.solveExact(
+        OfflineOptInstance::fromJobs(jobs, horizon, 0.3));
+    EXPECT_EQ(constrained.energy, 0x1.18f36ef202694p+11);
+    EXPECT_EQ(constrained.violations, 2u);
+    EXPECT_EQ(constrained.frontierPeak, 4u);
+    EXPECT_EQ(constrained.jobFrequencies,
+              (std::vector<double>{f04, f10, f04, f10, f06, f06, f06,
+                                   f08}));
+    EXPECT_EQ(constrained.gapStates,
+              (std::vector<LowPowerState>{deep, deep, deep, shallow,
+                                          shallow, shallow, shallow,
+                                          shallow}));
 }
 
 /**
