@@ -31,6 +31,45 @@ constexpr std::size_t kSoftFrontier = 256;
  * every remaining job. */
 constexpr std::size_t kMaxCoarsenings = 8;
 
+/** One value per low-power state, in depth order. */
+using StateCosts = std::array<double, numLowPowerStates>;
+
+/** Per-state rates times one amount: relaxed idle powers times a gap
+ * give idle energies, wake latencies times an active power give wake
+ * energies. */
+inline StateCosts
+scaleStates(const StateCosts &rates, double amount)
+{
+    StateCosts scaled;
+    for (std::size_t i = 0; i < numLowPowerStates; ++i)
+        scaled[i] = rates[i] * amount;
+    return scaled;
+}
+
+/** Cheapest state to bridge a gap and what it costs. */
+struct GapChoice
+{
+    double cost;       ///< Joules.
+    std::size_t state; ///< Depth index of the state.
+};
+
+/**
+ * The one gap-cost rule of the oracle: the shallowest state wakes for
+ * free, every deeper one adds its wake energy (wake latency at the
+ * next job's active power). Ties keep the shallower state.
+ */
+inline GapChoice
+cheapestGap(const StateCosts &idle, const StateCosts &wake)
+{
+    GapChoice best{idle[0], 0};
+    for (std::size_t i = 1; i < numLowPowerStates; ++i) {
+        const double cost = idle[i] + wake[i];
+        if (cost < best.cost)
+            best = GapChoice{cost, i};
+    }
+    return best;
+}
+
 } // namespace
 
 OfflineOptInstance
@@ -43,15 +82,15 @@ OfflineOptInstance::fromJobs(std::vector<Job> jobs, double horizon,
             "OfflineOptInstance: deadlineSlack must be positive");
     double last_arrival = 0.0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        fatalIf(jobs[j].arrival < 0.0,
-                "OfflineOptInstance: negative arrival at job " +
-                    std::to_string(j));
-        fatalIf(j > 0 && jobs[j].arrival < jobs[j - 1].arrival,
-                "OfflineOptInstance: arrivals must be non-decreasing "
-                "(job " + std::to_string(j) + ")");
-        fatalIf(jobs[j].size < 0.0,
-                "OfflineOptInstance: negative size at job " +
-                    std::to_string(j));
+        if (jobs[j].arrival < 0.0)
+            fatal("OfflineOptInstance: negative arrival at job " +
+                  std::to_string(j));
+        if (j > 0 && jobs[j].arrival < jobs[j - 1].arrival)
+            fatal("OfflineOptInstance: arrivals must be non-decreasing "
+                  "(job " + std::to_string(j) + ")");
+        if (jobs[j].size < 0.0)
+            fatal("OfflineOptInstance: negative size at job " +
+                  std::to_string(j));
         last_arrival = jobs[j].arrival;
     }
     fatalIf(!jobs.empty() && horizon < last_arrival,
@@ -93,7 +132,11 @@ OfflineOptimal::OfflineOptimal(const PlatformModel &platform,
             lowest = std::min(lowest,
                               _platform.lowPower(allLowPowerStates[i], f));
         _relaxedIdle[i] = lowest;
+        _wakeLatency[i] = _platform.wakeLatency(allLowPowerStates[i]);
     }
+    _wakeEnergy.reserve(_freqs.size());
+    for (double active : _activePower)
+        _wakeEnergy.push_back(scaleStates(_wakeLatency, active));
     _idleFloor = *std::min_element(_relaxedIdle.begin(),
                                    _relaxedIdle.end());
     _idleCeil = *std::max_element(_relaxedIdle.begin(),
@@ -109,51 +152,55 @@ OfflineOptimal::relaxedIdlePower(LowPowerState state) const
 double
 OfflineOptimal::gapCost(double gap, double next_active_power) const
 {
-    double best = _relaxedIdle[0] * gap;
-    for (std::size_t i = 1; i < numLowPowerStates; ++i) {
-        const double cost =
-            _relaxedIdle[i] * gap +
-            _platform.wakeLatency(allLowPowerStates[i]) *
-                next_active_power;
-        best = std::min(best, cost);
-    }
-    return best;
+    return cheapestGap(scaleStates(_relaxedIdle, gap),
+                       scaleStates(_wakeLatency, next_active_power))
+        .cost;
 }
 
 LowPowerState
 OfflineOptimal::gapState(double gap, double next_active_power) const
 {
-    LowPowerState best_state = allLowPowerStates[0];
-    double best = _relaxedIdle[0] * gap;
-    for (std::size_t i = 1; i < numLowPowerStates; ++i) {
-        const double cost =
-            _relaxedIdle[i] * gap +
-            _platform.wakeLatency(allLowPowerStates[i]) *
-                next_active_power;
-        if (cost < best) {
-            best = cost;
-            best_state = allLowPowerStates[i];
-        }
-    }
-    return best_state;
+    const GapChoice choice =
+        cheapestGap(scaleStates(_relaxedIdle, gap),
+                    scaleStates(_wakeLatency, next_active_power));
+    return allLowPowerStates[choice.state];
 }
 
-OfflineOptimal::JobCosts
-OfflineOptimal::jobCosts(const Job &job) const
+OfflineOptimal::CostTable
+OfflineOptimal::costTable(const std::vector<Job> &jobs) const
 {
-    JobCosts costs;
-    costs.service.reserve(_freqs.size());
-    costs.busyEnergy.reserve(_freqs.size());
-    for (std::size_t k = 0; k < _freqs.size(); ++k) {
-        const double service = job.size * _scaling.factor(_freqs[k]);
-        costs.service.push_back(service);
-        costs.busyEnergy.push_back(service * _activePower[k]);
+    const std::size_t n = jobs.size();
+    const std::size_t grid = _freqs.size();
+    CostTable costs;
+    costs.service.resize(n * grid);
+    costs.busyEnergy.resize(n * grid);
+    costs.minBusyEnergy.resize(n);
+    costs.minService.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        double *service = &costs.service[j * grid];
+        double *busy = &costs.busyEnergy[j * grid];
+        for (std::size_t k = 0; k < grid; ++k) {
+            service[k] = jobs[j].size * _scaling.factor(_freqs[k]);
+            busy[k] = service[k] * _activePower[k];
+        }
+        costs.minBusyEnergy[j] = *std::min_element(busy, busy + grid);
+        // Service time is non-increasing in frequency, so the fastest
+        // run is at the top of the (ascending) grid.
+        costs.minService[j] = service[grid - 1];
     }
-    costs.minBusyEnergy = *std::min_element(costs.busyEnergy.begin(),
-                                            costs.busyEnergy.end());
-    // Service time is non-increasing in frequency, so the fastest run
-    // is at the top of the (ascending) grid.
-    costs.minService = costs.service.back();
+    // Suffixes of unavoidable busy energy and of slowest-possible
+    // service time, for the FPTAS's upper-bound pruning: whatever
+    // frequencies a path still picks, its remaining idle window is at
+    // least the horizon minus the longest the remaining service could
+    // take (service[0] is the slowest grid entry).
+    costs.suffixBusy.assign(n + 1, 0.0);
+    costs.suffixService.assign(n + 1, 0.0);
+    for (std::size_t j = n; j-- > 0;) {
+        costs.suffixBusy[j] = costs.suffixBusy[j + 1] +
+                              costs.minBusyEnergy[j];
+        costs.suffixService[j] =
+            costs.suffixService[j + 1] + costs.service[j * grid];
+    }
     return costs;
 }
 
@@ -182,19 +229,125 @@ struct GridState
     std::uint32_t violations;
 };
 
+/** Total order of FPTAS states. A cell keeps its least state, so the
+ * survivor never depends on the order successors were generated in. */
+bool
+stateLess(const GridState &a, const GridState &b)
+{
+    if (a.cell != b.cell)
+        return a.cell < b.cell;
+    if (a.energy != b.energy)
+        return a.energy < b.energy;
+    if (a.violations != b.violations)
+        return a.violations < b.violations;
+    if (a.cTrue != b.cTrue)
+        return a.cTrue < b.cTrue;
+    return a.energyTrue < b.energyTrue;
+}
+
+/** Where one frontier state's next job starts, and the relaxed idle
+ * energy of each state over the gap before it (grid and true). */
+struct ParentGap
+{
+    double start;
+    double startTrue;
+    StateCosts idle;
+    StateCosts idleTrue;
+    bool gap;     ///< The grid schedule idles before the job.
+    bool gapTrue; ///< The true schedule idles before the job.
+    bool clamped; ///< Deadline unreachable: the job runs at the top.
+};
+
+/** Appends the merge of two cell-sorted runs with one state per cell,
+ * keeping the least state of a cell both runs reach. */
+void
+mergeRuns(const GridState *a, const GridState *a_end, const GridState *b,
+          const GridState *b_end, std::vector<GridState> &out)
+{
+    while (a != a_end && b != b_end) {
+        if (a->cell < b->cell) {
+            out.push_back(*a++);
+        } else if (b->cell < a->cell) {
+            out.push_back(*b++);
+        } else {
+            out.push_back(stateLess(*b, *a) ? *b : *a);
+            ++a;
+            ++b;
+        }
+    }
+    out.insert(out.end(), a, a_end);
+    out.insert(out.end(), b, b_end);
+}
+
+/** Collapses each run of equal cells of a cell-sorted list to its
+ * least state. */
+void
+collapseCells(std::vector<GridState> &states)
+{
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < states.size(); ++i) {
+        if (out > 0 && states[out - 1].cell == states[i].cell) {
+            if (stateLess(states[i], states[out - 1]))
+                states[out - 1] = states[i];
+        } else {
+            states[out++] = states[i];
+        }
+    }
+    states.resize(out);
+}
+
+/** Pareto sweep of a cell-sorted list with one state per cell, for
+ * relaxed instances: keeps only states no later-and-cheaper state
+ * dominates, then drops states Lipschitz dominance rules out. */
+void
+paretoSweep(std::vector<GridState> &states, double idle_ceil)
+{
+    // From the latest state down, keep strict energy improvements,
+    // packing them at the back in ascending cell order.
+    std::size_t first = states.size();
+    for (std::size_t i = states.size(); i-- > 0;) {
+        if (first == states.size() ||
+            states[i].energy < states[first].energy)
+            states[--first] = states[i];
+    }
+    // Lipschitz dominance: finishing later by dc can save at most
+    // dc * (max relaxed idle power) on future gaps, so a later state
+    // whose energy premium over an earlier one exceeds dc * idleCeil
+    // can never catch up. Dropping it is exact, and it kills the
+    // slow-frequency lineages whose backlog otherwise spreads the
+    // frontier at low load.
+    std::size_t out = 0;
+    double min_shifted = 0.0;
+    for (std::size_t i = first; i < states.size(); ++i) {
+        const double shifted =
+            states[i].energy - states[i].cGrid * idle_ceil;
+        if (out == 0 || shifted < min_shifted) {
+            states[out++] = states[i];
+            min_shifted = shifted;
+        }
+    }
+    states.resize(out);
+}
+
 } // namespace
+
+struct OfflineOptimal::PassScratch
+{
+    std::vector<GridState> frontier; ///< States after the last job.
+    std::vector<GridState> next;     ///< Successors of the frontier.
+    std::vector<GridState> merged;   ///< Merge output buffer.
+    std::vector<std::size_t> runEnds; ///< Column run ends in next.
+    std::vector<ParentGap> parents;  ///< One per frontier state.
+};
 
 OfflineOptResult
 OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
 {
     const std::size_t n = instance.jobs.size();
     const bool relaxed = !std::isfinite(instance.deadlineSlack);
-    const std::size_t fmax = _freqs.size() - 1;
-
-    std::vector<JobCosts> costs;
-    costs.reserve(n);
-    for (const Job &job : instance.jobs)
-        costs.push_back(jobCosts(job));
+    const std::size_t grid = _freqs.size();
+    const std::size_t fmax = grid - 1;
+    const CostTable costs = costTable(instance.jobs);
 
     std::vector<ExactState> frontier{{0.0, 0.0, 0, {}}};
     std::vector<ExactState> next;
@@ -203,15 +356,18 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
     for (std::size_t j = 0; j < n; ++j) {
         const Job &job = instance.jobs[j];
         const double deadline = job.arrival + instance.deadlineSlack;
+        const double *service = &costs.service[j * grid];
+        const double *busy = &costs.busyEnergy[j * grid];
         next.clear();
         for (const ExactState &state : frontier) {
             const double start = std::max(state.c, job.arrival);
             const double gap = start - state.c;
+            const StateCosts idle = scaleStates(_relaxedIdle, gap);
             const bool clamped =
-                !relaxed && start + costs[j].minService >
+                !relaxed && start + costs.minService[j] >
                                 deadline + kTimeTolerance;
-            for (std::size_t k = 0; k < _freqs.size(); ++k) {
-                const double done = start + costs[j].service[k];
+            for (std::size_t k = 0; k < grid; ++k) {
+                const double done = start + service[k];
                 if (clamped) {
                     if (k != fmax)
                         continue;
@@ -222,8 +378,9 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
                 ExactState successor;
                 successor.c = done;
                 successor.energy =
-                    state.energy + costs[j].busyEnergy[k] +
-                    (gap > 0.0 ? gapCost(gap, _activePower[k]) : 0.0);
+                    state.energy + busy[k] +
+                    (gap > 0.0 ? cheapestGap(idle, _wakeEnergy[k]).cost
+                               : 0.0);
                 successor.violations =
                     state.violations + (clamped ? 1 : 0);
                 successor.path = state.path;
@@ -232,9 +389,9 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
                 next.push_back(std::move(successor));
             }
         }
-        fatalIf(next.empty(),
-                "OfflineOptimal::solveExact: no feasible transition at "
-                "job " + std::to_string(j));
+        if (next.empty())
+            fatal("OfflineOptimal::solveExact: no feasible transition at "
+                  "job " + std::to_string(j));
         std::sort(next.begin(), next.end(),
                   [](const ExactState &a, const ExactState &b) {
                       if (a.c != b.c)
@@ -266,12 +423,11 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
             }
         }
         peak = std::max(peak, frontier.size());
-        fatalIf(frontier.size() > _options.maxExactStates,
-                "OfflineOptimal::solveExact: frontier exceeded "
-                "maxExactStates (" +
-                    std::to_string(_options.maxExactStates) +
-                    ") at job " + std::to_string(j) +
-                    "; use solve() for logs this size");
+        if (frontier.size() > _options.maxExactStates)
+            fatal("OfflineOptimal::solveExact: frontier exceeded "
+                  "maxExactStates (" +
+                  std::to_string(_options.maxExactStates) + ") at job " +
+                  std::to_string(j) + "; use solve() for logs this size");
     }
 
     const ExactState *best = nullptr;
@@ -300,45 +456,51 @@ OfflineOptimal::solveExact(const OfflineOptInstance &instance) const
         const double start = std::max(c, instance.jobs[j].arrival);
         const double gap = start - c;
         result.jobFrequencies.push_back(_freqs[k]);
-        result.gapStates.push_back(
-            gap > 0.0 ? gapState(gap, _activePower[k])
-                      : LowPowerState::C0IdleS0Idle);
-        c = start + costs[j].service[k];
+        const GapChoice choice =
+            cheapestGap(scaleStates(_relaxedIdle, gap), _wakeEnergy[k]);
+        result.gapStates.push_back(gap > 0.0
+                                       ? allLowPowerStates[choice.state]
+                                       : LowPowerState::C0IdleS0Idle);
+        c = start + costs.service[j * grid + k];
     }
     return result;
 }
 
 OfflineOptimal::GreedyBound
 OfflineOptimal::greedyUpperBound(const OfflineOptInstance &instance,
-                                 const std::vector<JobCosts> &costs) const
+                                 const CostTable &costs) const
 {
     const bool relaxed = !std::isfinite(instance.deadlineSlack);
-    const std::size_t fmax = _freqs.size() - 1;
+    const std::size_t grid = _freqs.size();
+    const std::size_t fmax = grid - 1;
     double c = 0.0;
     double energy = 0.0;
     std::size_t gaps = 0;
     for (std::size_t j = 0; j < instance.jobs.size(); ++j) {
         const Job &job = instance.jobs[j];
+        const double *service = &costs.service[j * grid];
+        const double *busy = &costs.busyEnergy[j * grid];
         const double deadline = job.arrival + instance.deadlineSlack;
         const double start = std::max(c, job.arrival);
         const double gap = start - c;
+        const StateCosts idle = scaleStates(_relaxedIdle, gap);
         const bool clamped =
             !relaxed &&
-            start + costs[j].minService > deadline + kTimeTolerance;
+            start + costs.minService[j] > deadline + kTimeTolerance;
         double best_cost = 0.0;
         std::size_t best_k = fmax;
         bool found = false;
-        for (std::size_t k = 0; k < _freqs.size(); ++k) {
+        for (std::size_t k = 0; k < grid; ++k) {
             if (clamped) {
                 if (k != fmax)
                     continue;
-            } else if (!relaxed && start + costs[j].service[k] >
-                                       deadline + kTimeTolerance) {
+            } else if (!relaxed &&
+                       start + service[k] > deadline + kTimeTolerance) {
                 continue;
             }
             const double cost =
-                costs[j].busyEnergy[k] +
-                (gap > 0.0 ? gapCost(gap, _activePower[k]) : 0.0);
+                busy[k] +
+                (gap > 0.0 ? cheapestGap(idle, _wakeEnergy[k]).cost : 0.0);
             if (!found || cost < best_cost) {
                 best_cost = cost;
                 best_k = k;
@@ -348,7 +510,7 @@ OfflineOptimal::greedyUpperBound(const OfflineOptInstance &instance,
         energy += best_cost;
         if (gap > 0.0)
             ++gaps;
-        c = start + costs[j].service[best_k];
+        c = start + service[best_k];
     }
     energy += _idleFloor * std::max(0.0, instance.horizon - c);
     return GreedyBound{energy, gaps};
@@ -356,106 +518,68 @@ OfflineOptimal::greedyUpperBound(const OfflineOptInstance &instance,
 
 OfflineOptResult
 OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
-                          const std::vector<JobCosts> &costs,
-                          double delta, double merge_eta,
-                          double upper_bound, bool allow_abort,
-                          std::size_t max_states) const
+                          const CostTable &costs, double delta,
+                          double merge_eta, double upper_bound,
+                          bool allow_abort, std::size_t max_states,
+                          PassScratch &scratch) const
 {
     const std::size_t n = instance.jobs.size();
     const bool relaxed = !std::isfinite(instance.deadlineSlack);
-    const std::size_t fmax = _freqs.size() - 1;
-
-    // Suffixes of unavoidable busy energy and of slowest-possible
-    // service time, for upper-bound pruning: whatever frequencies a
-    // path still picks, its remaining idle window is at least the
-    // horizon minus the longest the remaining service could take
-    // (service[0] is the slowest grid entry).
-    std::vector<double> suffix(n + 1, 0.0);
-    std::vector<double> suffix_service(n + 1, 0.0);
-    for (std::size_t j = n; j-- > 0;) {
-        suffix[j] = suffix[j + 1] + costs[j].minBusyEnergy;
-        suffix_service[j] =
-            suffix_service[j + 1] + costs[j].service.front();
-    }
+    const std::size_t grid = _freqs.size();
+    const std::size_t fmax = grid - 1;
     const double prune_slack =
         1e-9 * std::max(1.0, upper_bound) + kTimeTolerance;
 
-    // Sort + per-cell dedupe + Pareto sweep. Relaxed instances keep,
-    // per cell, only states no later-and-cheaper state dominates;
-    // deadline-constrained ones keep the cheapest state per cell
-    // (violations break the monotone structure the sweep needs).
-    const auto compact = [&](std::vector<GridState> &states) {
-        std::sort(states.begin(), states.end(),
-                  [](const GridState &a, const GridState &b) {
-                      if (a.cell != b.cell)
-                          return a.cell < b.cell;
-                      if (a.energy != b.energy)
-                          return a.energy < b.energy;
-                      return a.violations < b.violations;
-                  });
-        std::vector<GridState> kept;
-        if (relaxed) {
-            double best_energy = 0.0;
-            bool have = false;
-            for (std::size_t i = states.size(); i-- > 0;) {
-                if (i > 0 && states[i - 1].cell == states[i].cell)
-                    continue; // A cheaper state shares the cell.
-                if (!have || states[i].energy < best_energy) {
-                    kept.push_back(states[i]);
-                    best_energy = states[i].energy;
-                    have = true;
-                }
-            }
-            std::reverse(kept.begin(), kept.end());
-            // Lipschitz dominance: finishing later by dc can save at
-            // most dc * (max relaxed idle power) on future gaps, so a
-            // later state whose energy premium over an earlier one
-            // exceeds dc * idleCeil can never catch up — dropping it
-            // is exact, and it kills the slow-frequency lineages whose
-            // backlog otherwise spreads the frontier at low load.
-            std::size_t out = 0;
-            double min_shifted = 0.0;
-            for (std::size_t i = 0; i < kept.size(); ++i) {
-                const double shifted =
-                    kept[i].energy - kept[i].cGrid * _idleCeil;
-                if (i == 0 || shifted < min_shifted) {
-                    kept[out++] = kept[i];
-                    min_shifted =
-                        i == 0 ? shifted : std::min(min_shifted, shifted);
-                }
-            }
-            kept.resize(out);
-        } else {
-            for (std::size_t i = 0; i < states.size(); ++i) {
-                if (kept.empty() || states[i].cell != kept.back().cell)
-                    kept.push_back(states[i]);
-            }
-        }
-        states.swap(kept);
-    };
-
-    std::vector<GridState> frontier{{0, 0.0, 0.0, 0.0, 0.0, 0}};
-    std::vector<GridState> next;
+    std::vector<GridState> &frontier = scratch.frontier;
+    std::vector<GridState> &next = scratch.next;
+    std::vector<GridState> &merged = scratch.merged;
+    std::vector<std::size_t> &run_ends = scratch.runEnds;
+    std::vector<ParentGap> &parents = scratch.parents;
+    frontier.assign(1, GridState{0, 0.0, 0.0, 0.0, 0.0, 0});
     std::size_t peak = 1;
     std::size_t coarsenings = 0;
     double debt = 0.0;
 
     for (std::size_t j = 0; j < n; ++j) {
         const Job &job = instance.jobs[j];
+        const double *service = &costs.service[j * grid];
+        const double *busy = &costs.busyEnergy[j * grid];
         const double deadline = job.arrival + instance.deadlineSlack;
-        next.clear();
+        const double suffix_busy = costs.suffixBusy[j + 1];
+        const double suffix_service = costs.suffixService[j + 1];
+
+        // Everything about a parent that does not depend on the
+        // frequency, once per parent.
+        parents.clear();
         for (const GridState &state : frontier) {
-            const double start = std::max(state.cGrid, job.arrival);
-            const double gap = start - state.cGrid;
-            const double start_true =
-                std::max(state.cTrue, job.arrival);
-            const double gap_true = start_true - state.cTrue;
-            const bool clamped =
-                !relaxed && start + costs[j].minService >
-                                deadline + kTimeTolerance;
-            for (std::size_t k = 0; k < _freqs.size(); ++k) {
-                const double done = start + costs[j].service[k];
-                if (clamped) {
+            ParentGap parent;
+            parent.start = std::max(state.cGrid, job.arrival);
+            parent.startTrue = std::max(state.cTrue, job.arrival);
+            const double gap = parent.start - state.cGrid;
+            const double gap_true = parent.startTrue - state.cTrue;
+            parent.idle = scaleStates(_relaxedIdle, gap);
+            parent.idleTrue = scaleStates(_relaxedIdle, gap_true);
+            parent.gap = gap > 0.0;
+            parent.gapTrue = gap_true > 0.0;
+            parent.clamped = !relaxed && parent.start + costs.minService[j] >
+                                             deadline + kTimeTolerance;
+            parents.push_back(parent);
+        }
+
+        // One sorted run per frequency: the frontier is cell-sorted,
+        // and for a fixed frequency the completion is monotone in the
+        // parent's completion, so each column comes out cell-sorted.
+        // Equal cells within a column collapse to their least state
+        // on the spot.
+        next.clear();
+        run_ends.clear();
+        for (std::size_t k = 0; k < grid; ++k) {
+            const std::size_t run_begin = next.size();
+            for (std::size_t p = 0; p < frontier.size(); ++p) {
+                const GridState &state = frontier[p];
+                const ParentGap &parent = parents[p];
+                const double done = parent.start + service[k];
+                if (parent.clamped) {
                     if (k != fmax)
                         continue;
                 } else if (!relaxed &&
@@ -470,16 +594,10 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                 successor.cGrid =
                     static_cast<double>(successor.cell) * delta;
                 successor.energy =
-                    state.energy + costs[j].busyEnergy[k] +
-                    (gap > 0.0 ? gapCost(gap, _activePower[k]) : 0.0);
-                successor.cTrue = start_true + costs[j].service[k];
-                successor.energyTrue =
-                    state.energyTrue + costs[j].busyEnergy[k] +
-                    (gap_true > 0.0
-                         ? gapCost(gap_true, _activePower[k])
+                    state.energy + busy[k] +
+                    (parent.gap
+                         ? cheapestGap(parent.idle, _wakeEnergy[k]).cost
                          : 0.0);
-                successor.violations =
-                    state.violations + (clamped ? 1 : 0);
                 // A state whose certain remaining floor already beats
                 // the incumbent upper bound cannot be optimal. The
                 // threshold carries the accumulated merge debt: after
@@ -488,15 +606,31 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                 // pruning at the bare upper bound could evict it (and
                 // empty the frontier when the bracket is within debt).
                 const double floor =
-                    successor.energy + suffix[j + 1] +
-                    _idleFloor *
-                        std::max(0.0, instance.horizon -
-                                          successor.cGrid -
-                                          suffix_service[j + 1]);
+                    successor.energy + suffix_busy +
+                    _idleFloor * std::max(0.0, instance.horizon -
+                                                   successor.cGrid -
+                                                   suffix_service);
                 if (floor > upper_bound + debt + prune_slack)
                     continue;
-                next.push_back(successor);
+                successor.cTrue = parent.startTrue + service[k];
+                successor.energyTrue =
+                    state.energyTrue + busy[k] +
+                    (parent.gapTrue
+                         ? cheapestGap(parent.idleTrue, _wakeEnergy[k])
+                               .cost
+                         : 0.0);
+                successor.violations =
+                    state.violations + (parent.clamped ? 1 : 0);
+                if (next.size() > run_begin &&
+                    next.back().cell == successor.cell) {
+                    if (stateLess(successor, next.back()))
+                        next.back() = successor;
+                } else {
+                    next.push_back(successor);
+                }
             }
+            if (next.size() > run_begin)
+                run_ends.push_back(next.size());
         }
         // The grid image of the optimal schedule costs at most the
         // incumbent upper bound at every prefix, so it always survives
@@ -504,7 +638,34 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
         if (next.empty())
             panic("OfflineOptimal: FPTAS frontier emptied (the "
                   "pruning floor is not a lower bound)");
-        compact(next);
+        // Merge the column runs pairwise until one cell-sorted list
+        // with one state per cell remains.
+        while (run_ends.size() > 1) {
+            merged.clear();
+            std::size_t runs = 0;
+            std::size_t begin = 0;
+            for (std::size_t r = 0; r < run_ends.size(); r += 2) {
+                const GridState *a = next.data() + begin;
+                const GridState *a_end = next.data() + run_ends[r];
+                if (r + 1 < run_ends.size()) {
+                    begin = run_ends[r + 1];
+                    mergeRuns(a, a_end, a_end, next.data() + begin,
+                              merged);
+                } else {
+                    begin = run_ends[r];
+                    merged.insert(merged.end(), a, a_end);
+                }
+                run_ends[runs++] = merged.size();
+            }
+            run_ends.resize(runs);
+            next.swap(merged);
+        }
+        // Relaxed instances keep, per cell, only states no later-and-
+        // cheaper state dominates; deadline-constrained ones keep the
+        // least state per cell (violations break the monotone
+        // structure the sweep needs), which the merged list already is.
+        if (relaxed)
+            paretoSweep(next, _idleCeil);
         // Near-critical load keeps thousands of Lipschitz-incomparable
         // lineages pinned along the E = c * idleCeil boundary, spaced
         // millijoules apart. Merging a state into the previous kept
@@ -516,7 +677,7 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
             std::size_t out = 1;
             double last_shifted =
                 next[0].energy - next[0].cGrid * _idleCeil;
-            bool merged = false;
+            bool merged_any = false;
             for (std::size_t i = 1; i < next.size(); ++i) {
                 const double shifted =
                     next[i].energy - next[i].cGrid * _idleCeil;
@@ -524,11 +685,11 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                     next[out++] = next[i];
                     last_shifted = shifted;
                 } else {
-                    merged = true;
+                    merged_any = true;
                 }
             }
             next.resize(out);
-            if (merged)
+            if (merged_any)
                 debt += merge_eta;
         }
         // Frontier spikes (long busy periods spread completion times
@@ -536,6 +697,8 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
         // failing the pass: snapping cells further *up* is one more
         // relaxation, so the lower bound stays valid and the ride-along
         // true-dynamics costs keep certifying the achieved bracket.
+        // Snapping is monotone, so the list stays cell-sorted and only
+        // needs its newly shared cells collapsed.
         std::int64_t lattice = 1;
         while (next.size() > max_states) {
             lattice *= 2;
@@ -546,7 +709,9 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                 state.cell = idx * lattice;
                 state.cGrid = static_cast<double>(state.cell) * delta;
             }
-            compact(next);
+            collapseCells(next);
+            if (relaxed)
+                paretoSweep(next, _idleCeil);
         }
         if (allow_abort && coarsenings > kMaxCoarsenings) {
             // This resolution wants far more states than the cap; the
@@ -609,16 +774,13 @@ OfflineOptimal::solve(const OfflineOptInstance &instance) const
         return result;
     }
 
-    std::vector<JobCosts> costs;
-    costs.reserve(n);
-    for (const Job &job : instance.jobs)
-        costs.push_back(jobCosts(job));
+    const CostTable costs = costTable(instance.jobs);
 
     double min_busy = 0.0;
     double min_service = 0.0;
-    for (const JobCosts &job : costs) {
-        min_busy += job.minBusyEnergy;
-        min_service += job.minService;
+    for (std::size_t j = 0; j < n; ++j) {
+        min_busy += costs.minBusyEnergy[j];
+        min_service += costs.minService[j];
     }
     const double lower_seed =
         min_busy + _idleFloor *
@@ -672,6 +834,7 @@ OfflineOptimal::solve(const OfflineOptInstance &instance) const
     const double merge_eta = 0.25 * _options.epsilon * lower_seed /
                              static_cast<double>(n);
 
+    PassScratch scratch;
     OfflineOptResult best;
     bool have = false;
     std::size_t coarsenings = 0;
@@ -689,7 +852,7 @@ OfflineOptimal::solve(const OfflineOptInstance &instance) const
                   : _options.maxStates;
         const OfflineOptResult attempt =
             fptasPass(instance, costs, schedule[pass], merge_eta,
-                      upper_bound, allow_abort, max_states);
+                      upper_bound, allow_abort, max_states, scratch);
         coarsenings += attempt.coarsenings;
         if (!std::isfinite(attempt.energy))
             continue; // Aborted on the coarsening budget.

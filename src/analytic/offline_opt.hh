@@ -211,17 +211,26 @@ class OfflineOptimal
     ServiceScaling scaling() const { return _scaling; }
 
   private:
-    /** One precomputed (service time, busy energy) per frequency. */
-    struct JobCosts
+    /** Per-job (service time, busy energy) for every grid entry, flat
+     * n x K row-major ([j * K + k]), plus the per-job minima and the
+     * suffix sums the FPTAS prunes with. Built once per solve. */
+    struct CostTable
     {
-        std::vector<double> service;    ///< Seconds per grid entry.
-        std::vector<double> busyEnergy; ///< Joules per grid entry.
-        double minBusyEnergy;           ///< min over busyEnergy.
-        double minService;              ///< min over service.
+        std::vector<double> service;       ///< Seconds, n x K.
+        std::vector<double> busyEnergy;    ///< Joules, n x K.
+        std::vector<double> minBusyEnergy; ///< Per job, min over k.
+        std::vector<double> minService;    ///< Per job, fastest run.
+        /** suffixBusy[j]: sum of minBusyEnergy over jobs j..n-1. */
+        std::vector<double> suffixBusy;
+        /** suffixService[j]: slowest-grid service of jobs j..n-1. */
+        std::vector<double> suffixService;
     };
 
-    // By value: gapCost()/gapState() read wake latencies at solve
-    // time, so a stored reference would dangle when callers construct
+    /** Buffers of one solve() that every FPTAS pass and job step
+     * reuses (defined in offline_opt.cc). */
+    struct PassScratch;
+
+    // By value: a stored reference would dangle when callers construct
     // the solver from a temporary model (as the benches do).
     PlatformModel _platform;
     ServiceScaling _scaling;
@@ -229,6 +238,11 @@ class OfflineOptimal
     std::vector<double> _freqs;        ///< Sorted, deduplicated grid.
     std::vector<double> _activePower;  ///< activePower per grid entry.
     std::array<double, numLowPowerStates> _relaxedIdle{};
+    std::array<double, numLowPowerStates> _wakeLatency{};
+    /** Wake energy per grid entry and state: _wakeEnergy[k][i] =
+     * wakeLatency(state i) * _activePower[k]. Every gap cost the
+     * solvers charge reads it. */
+    std::vector<std::array<double, numLowPowerStates>> _wakeEnergy;
     double _idleFloor = 0.0; ///< min over states of relaxed power.
     double _idleCeil = 0.0;  ///< max over states of relaxed power.
 
@@ -241,9 +255,9 @@ class OfflineOptimal
         std::size_t gaps; ///< Idle gaps the greedy schedule opened.
     };
 
-    JobCosts jobCosts(const Job &job) const;
+    CostTable costTable(const std::vector<Job> &jobs) const;
     GreedyBound greedyUpperBound(const OfflineOptInstance &instance,
-                                 const std::vector<JobCosts> &costs) const;
+                                 const CostTable &costs) const;
 
     /** One rounded-grid DP pass at resolution delta; coarsens locally
      * when the frontier cap binds. merge_eta is the per-step energy
@@ -253,10 +267,10 @@ class OfflineOptimal
      * keeps binding, the pass bails out early (energy = -infinity
      * marks the aborted result). */
     OfflineOptResult fptasPass(const OfflineOptInstance &instance,
-                               const std::vector<JobCosts> &costs,
-                               double delta, double merge_eta,
-                               double upper_bound, bool allow_abort,
-                               std::size_t max_states) const;
+                               const CostTable &costs, double delta,
+                               double merge_eta, double upper_bound,
+                               bool allow_abort, std::size_t max_states,
+                               PassScratch &scratch) const;
 };
 
 } // namespace sleepscale

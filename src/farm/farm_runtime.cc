@@ -152,10 +152,10 @@ class FaultDriver
 
     void applyEvent()
     {
-        fatalIf(_event.server >= _farm.size(),
-                "FaultDriver: fault event names server " +
-                    std::to_string(_event.server) + " in a farm of " +
-                    std::to_string(_farm.size()));
+        if (_event.server >= _farm.size())
+            fatal("FaultDriver: fault event names server " +
+                  std::to_string(_event.server) + " in a farm of " +
+                  std::to_string(_farm.size()));
         if (_event.down)
             _farm.failServer(_event.server, _event.time);
         else

@@ -15,8 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <random>
 #include <vector>
 
@@ -29,6 +32,44 @@
 #include "workload/distribution.hh"
 #include "workload/job_source.hh"
 #include "workload/workload_spec.hh"
+
+// Counts every global allocation, so a test can compare how many
+// blocks a solve allocates on logs of different lengths. Kept out of
+// line so the compiler never pairs an inlined free() with the
+// allocating call.
+namespace {
+std::atomic<std::size_t> globalAllocations{0};
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    globalAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *block = std::malloc(bytes == 0 ? 1 : bytes))
+        return block;
+    throw std::bad_alloc();
+}
+
+// std::stable_sort's temporary buffer comes from the nothrow form and
+// goes back through the sized delete below, so both must use malloc.
+[[gnu::noinline]] void *
+operator new(std::size_t bytes, const std::nothrow_t &) noexcept
+{
+    globalAllocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(bytes == 0 ? 1 : bytes);
+}
+
+[[gnu::noinline]] void
+operator delete(void *block) noexcept
+{
+    std::free(block);
+}
+
+[[gnu::noinline]] void
+operator delete(void *block, std::size_t) noexcept
+{
+    std::free(block);
+}
 
 namespace sleepscale {
 namespace {
@@ -363,6 +404,54 @@ TEST(OfflineOptPin, ExactScheduleMatchesPin)
               (std::vector<LowPowerState>{deep, deep, deep, shallow,
                                           shallow, shallow, shallow,
                                           shallow}));
+}
+
+TEST(OfflineOptAllocations, DoNotGrowWithTheLog)
+{
+    // The per-job checks of fromJobs() build no message unless they
+    // fail, and solve() keeps its costs in flat tables and its DP in
+    // buffers reused across jobs and passes, so a 10k-job log costs
+    // the same few blocks as a 1k-job log of the same shape: a
+    // 50-job burst repeated after a long lull.
+    const auto tiled = [](std::size_t n) {
+        const auto block = poissonLog(0.5, 50, 23);
+        const double period = block.back().arrival + 60.0;
+        std::vector<Job> jobs;
+        jobs.reserve(n);
+        for (std::size_t j = 0; j < n; ++j) {
+            Job job = block[j % block.size()];
+            job.arrival += period * static_cast<double>(j / block.size());
+            jobs.push_back(job);
+        }
+        return jobs;
+    };
+    const OfflineOptimal oracle(PlatformModel::xeon(),
+                                ServiceScaling::cpuBound());
+    struct Counts
+    {
+        std::size_t fromJobs;
+        std::size_t solve;
+    };
+    const auto allocationsFor = [&](std::size_t n) {
+        std::vector<Job> jobs = tiled(n);
+        const double horizon = jobs.back().arrival + 1.0;
+        std::size_t before = globalAllocations.load();
+        const OfflineOptInstance instance =
+            OfflineOptInstance::fromJobs(std::move(jobs), horizon);
+        Counts counts{globalAllocations.load() - before, 0};
+        before = globalAllocations.load();
+        const OfflineOptResult result = oracle.solve(instance);
+        counts.solve = globalAllocations.load() - before;
+        EXPECT_GT(result.energy, 0.0);
+        EXPECT_EQ(result.coarsenings, 0u);
+        return counts;
+    };
+    const Counts small = allocationsFor(1000);
+    const Counts large = allocationsFor(10000);
+    EXPECT_EQ(small.fromJobs, 0u);
+    EXPECT_EQ(large.fromJobs, 0u);
+    EXPECT_EQ(small.solve, large.solve);
+    EXPECT_LE(large.solve, 64u);
 }
 
 /**
