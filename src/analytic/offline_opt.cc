@@ -333,11 +333,10 @@ paretoSweep(std::vector<GridState> &states, double idle_ceil)
 
 struct OfflineOptimal::PassScratch
 {
-    std::vector<GridState> frontier; ///< States after the last job.
-    std::vector<GridState> next;     ///< Successors of the frontier.
-    std::vector<GridState> merged;   ///< Merge output buffer.
+    std::vector<GridState> frontier;  ///< States after the last job.
+    std::vector<GridState> next;      ///< Successors of the frontier.
     std::vector<std::size_t> runEnds; ///< Column run ends in next.
-    std::vector<ParentGap> parents;  ///< One per frontier state.
+    std::vector<ParentGap> parents;   ///< One per frontier state.
 };
 
 OfflineOptResult
@@ -532,7 +531,6 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
 
     std::vector<GridState> &frontier = scratch.frontier;
     std::vector<GridState> &next = scratch.next;
-    std::vector<GridState> &merged = scratch.merged;
     std::vector<std::size_t> &run_ends = scratch.runEnds;
     std::vector<ParentGap> &parents = scratch.parents;
     frontier.assign(1, GridState{0, 0.0, 0.0, 0.0, 0.0, 0});
@@ -639,8 +637,10 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
             panic("OfflineOptimal: FPTAS frontier emptied (the "
                   "pruning floor is not a lower bound)");
         // Merge the column runs pairwise until one cell-sorted list
-        // with one state per cell remains.
+        // with one state per cell remains. The frontier has served its
+        // purpose, so its buffer takes each round's output.
         while (run_ends.size() > 1) {
+            std::vector<GridState> &merged = frontier;
             merged.clear();
             std::size_t runs = 0;
             std::size_t begin = 0;
@@ -677,7 +677,7 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
             std::size_t out = 1;
             double last_shifted =
                 next[0].energy - next[0].cGrid * _idleCeil;
-            bool merged_any = false;
+            bool merged = false;
             for (std::size_t i = 1; i < next.size(); ++i) {
                 const double shifted =
                     next[i].energy - next[i].cGrid * _idleCeil;
@@ -685,11 +685,11 @@ OfflineOptimal::fptasPass(const OfflineOptInstance &instance,
                     next[out++] = next[i];
                     last_shifted = shifted;
                 } else {
-                    merged_any = true;
+                    merged = true;
                 }
             }
             next.resize(out);
-            if (merged_any)
+            if (merged)
                 debt += merge_eta;
         }
         // Frontier spikes (long busy periods spread completion times
