@@ -13,12 +13,14 @@
 #include <numeric>
 
 #include "analytic/mm1_sleep.hh"
+#include "analytic/offline_opt.hh"
 #include "core/eval_engine.hh"
 #include "core/policy_manager.hh"
 #include "experiment/runner.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "workload/job_source.hh"
+#include "workload/workload_spec.hh"
 
 namespace {
 
@@ -227,6 +229,33 @@ BM_AnalyticSingleEvaluation(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AnalyticSingleEvaluation);
+
+/** One offline-oracle solve (the regret baseline) at epsilon = 0.05
+ * over a fixed hour of dns-like Poisson load at rho = 0.3; items are
+ * jobs of the log. */
+void
+BM_OfflineOptSolve(benchmark::State &state)
+{
+    const WorkloadSpec dns = workloadByName("dns");
+    ExponentialDist gaps(dns.serviceMean / 0.3);
+    ExponentialDist sizes(dns.serviceMean);
+    StationarySource source(gaps.clone(), sizes.clone(), 20140614);
+    std::vector<Job> jobs;
+    Job job;
+    while (source.next(job) && job.arrival <= 3600.0)
+        jobs.push_back(job);
+    const auto instance =
+        OfflineOptInstance::fromJobs(std::move(jobs), 3600.0);
+    OfflineOptOptions options;
+    options.epsilon = 0.05;
+    const OfflineOptimal oracle(PlatformModel::xeon(), dns.scaling,
+                                options);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(oracle.solve(instance));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(instance.jobs.size()));
+}
+BENCHMARK(BM_OfflineOptSolve)->Unit(benchmark::kMillisecond);
 
 /** Sweep-grid expansion cost in the experiment layer (pure API
  * overhead: a 10 x 10 x 10 grid of specs, no simulation). */
