@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -996,6 +997,59 @@ TEST(FaultyFarmPin, ControllersSteerOnTheirMeasuredLoad)
                   pin.hash)
             << pinName(row);
     }
+}
+
+TEST(FaultyFarmPin, PerServerResponsePercentilesBitForBit)
+{
+    // The other pins hash decisions, routes and joules, none of which
+    // reads a response histogram. These pins hold each server's
+    // whole-run p95 and p99 response (every epoch window harvested,
+    // merged into the farm view and into the server's total) and a
+    // hash of every epoch window's p95 and p99, farm view and per
+    // server, under per-server poet control through mtbf churn.
+    const FaultyPin row{"mtbf", "random", "per-server", "poet", 0.0, 0};
+    const FarmRuntimeConfig config = faultyPinConfig(row);
+    ASSERT_TRUE(config.tailHistograms);
+    const UtilizationTrace trace("flat", std::vector<double>(60, 0.4));
+    const FarmRuntimeResult result = runFaultScenario(config, trace);
+
+    const struct
+    {
+        double p95;
+        double p99;
+    } totals[] = {
+        {0x1.32a23ec0d0f1bp+4, 0x1.7a8560b9d0a19p+5},
+        {0x1.b9b914367a5efp+3, 0x1.793df0861fcc7p+4},
+        {0x1.bed67f02e165bp+3, 0x1.50379d3d88353p+4},
+        {0x1.22db7843443bap+2, 0x1.f973ba70ee1dfp+2},
+    };
+    ASSERT_EQ(result.servers.size(), std::size(totals));
+    for (std::size_t i = 0; i < result.servers.size(); ++i) {
+        // EXPECT_EQ on doubles on purpose: bit-for-bit, not closeness.
+        EXPECT_EQ(result.servers[i].total.responsePercentile(95.0),
+                  totals[i].p95)
+            << "server " << i;
+        EXPECT_EQ(result.servers[i].total.responsePercentile(99.0),
+                  totals[i].p99)
+            << "server " << i;
+    }
+    EXPECT_EQ(result.total.responsePercentile(95.0),
+              0x1.7c521a3b94d84p+3);
+    EXPECT_EQ(result.total.responsePercentile(99.0),
+              0x1.d01be6e2d1782p+4);
+
+    std::uint64_t hash = 1469598103934665603ull;
+    const auto mixWindow = [&hash](const SimStats &window) {
+        fnvMix(hash, doubleBits(window.responsePercentile(95.0)));
+        fnvMix(hash, doubleBits(window.responsePercentile(99.0)));
+    };
+    for (const EpochReport &epoch : result.epochs)
+        mixWindow(epoch.stats);
+    for (const FarmServerReport &server : result.servers) {
+        for (const EpochReport &epoch : server.epochs)
+            mixWindow(epoch.stats);
+    }
+    EXPECT_EQ(hash, 17252420068965470833ull);
 }
 
 TEST(FaultyFarmPin, OutputKnobsDoNotPerturbTheRun)

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -409,6 +411,194 @@ TEST(QuantileHistogram, ExactlyAtFloorAndCeilingEdges)
     EXPECT_EQ(hist.count(), 2u);
     EXPECT_DOUBLE_EQ(hist.percentile(100.0), 1e3);
     EXPECT_DOUBLE_EQ(hist.exceedance(1e3), 0.5);
+}
+
+// --------------------------------------------------- QuantileHistogramPin
+
+// Hexfloat pins of every query over histograms built to reach the
+// edges of the bucket storage: growth at either end by samples and by
+// merges, the underflow and overflow buckets, reset() and
+// never-sampled operands. The queries depend only on integer bucket
+// counts and grid indices, so any storage layout must reproduce them
+// bit for bit.
+
+constexpr double pinPercentiles[] = {0.0,  0.1,  1.0,  50.0, 90.0,
+                                     95.0, 99.0, 99.9, 100.0};
+
+/** Add `n` samples spread over [lo, hi) by the golden-ratio sequence
+ * (plain arithmetic, so the samples are the same on every libm). */
+void
+addBand(QuantileHistogram &hist, double lo, double hi, int n)
+{
+    double frac = 0.0;
+    for (int i = 0; i < n; ++i) {
+        frac += 0.6180339887498949;
+        if (frac >= 1.0)
+            frac -= 1.0;
+        hist.add(lo + (hi - lo) * frac);
+    }
+}
+
+/** The SimStats response-histogram configuration. */
+QuantileHistogram
+responseGrid()
+{
+    return QuantileHistogram(1e-7, 1e5, 400);
+}
+
+/** Build the named pin case. */
+QuantileHistogram
+pinCase(const std::string &name)
+{
+    QuantileHistogram hist = responseGrid();
+    if (name == "narrow") {
+        addBand(hist, 0.02, 0.05, 2000);
+    } else if (name == "low-into-high" || name == "high-into-low") {
+        QuantileHistogram low = responseGrid();
+        QuantileHistogram high = responseGrid();
+        addBand(low, 1e-4, 3e-4, 1500);
+        addBand(high, 20.0, 60.0, 500);
+        if (name == "low-into-high") {
+            high.merge(low);
+            hist = high;
+        } else {
+            low.merge(high);
+            hist = low;
+        }
+    } else if (name == "widening") {
+        addBand(hist, 1.0, 2.0, 300);
+        addBand(hist, 1e-3, 2e-3, 200);
+        addBand(hist, 1e3, 3e3, 100);
+        addBand(hist, 1e-6, 2e-6, 50);
+    } else if (name == "boundaries") {
+        for (int i = 0; i < 3; ++i)
+            hist.add(0.0);
+        hist.add(5e-8);
+        hist.add(5e-8);
+        hist.add(1e5);
+        hist.add(3e5);
+        addBand(hist, 0.5, 2.0, 200);
+    } else if (name == "reset") {
+        addBand(hist, 1e-3, 2e-3, 400);
+        hist.reset();
+        addBand(hist, 100.0, 400.0, 300);
+    } else if (name == "into-empty") {
+        QuantileHistogram source = responseGrid();
+        addBand(source, 0.3, 0.9, 700);
+        hist.merge(source);
+    } else if (name == "from-empty") {
+        addBand(hist, 0.3, 0.9, 700);
+        hist.merge(responseGrid());
+    } else if (name == "empty-both") {
+        hist.merge(responseGrid());
+    }
+    return hist;
+}
+
+struct HistogramPin
+{
+    const char *name;
+    double exceedanceAt[5];
+    double percentile[9];
+    double exceedance[5];
+    std::uint64_t count;
+    double mean;
+    double min;
+    double max;
+};
+
+constexpr double inf = std::numeric_limits<double>::infinity();
+
+const HistogramPin histogramPins[] = {
+    {"narrow",
+     {0.01, 0.02, 0.035, 0.0499, 0.1},
+     {0x1.47d150fe3a676p-6, 0x1.48ca7fe130a32p-6, 0x1.4e84b23f96cb7p-6,
+      0x1.1f55ffd87039ap-5, 0x1.81617487ea572p-5, 0x1.8eec7def5d56cp-5,
+      0x1.983746e546438p-5, 0x1.997d17da04103p-5, 0x1.997d17da04103p-5},
+     {0x1p+0, 0x1p+0, 0x1.020c49ba5e354p-1, 0x1.6872b020c49bap-8, 0.0},
+     2000, 0x1.1eb8ae701cf39p-5, 0x1.47d150fe3a676p-6, 0x1.997d17da04103p-5},
+    {"low-into-high",
+     {1e-4, 2e-4, 1.0, 30.0, 59.9},
+     {0x1.a40b9f59e6ab4p-14, 0x1.a5da0f711d906p-14, 0x1.afad90ac90f05p-14,
+      0x1.eb9ed381f5325p-13, 0x1.6141a0ab920d5p+5, 0x1.a16fa3293f89bp+5,
+      0x1.d45ef92388ad7p+5, 0x1.df47df4a4eef2p+5, 0x1.df9ed2b791e42p+5},
+     {0x1p+0, 0x1.40c49ba5e353fp-1, 0x1p-2, 0x1.810624dd2f1aap-3,
+      0x1.47ae147ae147bp-9},
+     2000, 0x1.3fd96e2d907dcp+3, 0x1.a40b9f59e6ab4p-14, 0x1.df9ed2b791e42p+5},
+    {"high-into-low",
+     {1e-4, 2e-4, 1.0, 30.0, 59.9},
+     {0x1.a40b9f59e6ab4p-14, 0x1.a5da0f711d906p-14, 0x1.afad90ac90f05p-14,
+      0x1.eb9ed381f5325p-13, 0x1.6141a0ab920d5p+5, 0x1.a16fa3293f89bp+5,
+      0x1.d45ef92388ad7p+5, 0x1.df47df4a4eef2p+5, 0x1.df9ed2b791e42p+5},
+     {0x1p+0, 0x1.40c49ba5e353fp-1, 0x1p-2, 0x1.810624dd2f1aap-3,
+      0x1.47ae147ae147bp-9},
+     2000, 0x1.3fd96e2d907dcp+3, 0x1.a40b9f59e6ab4p-14, 0x1.df9ed2b791e42p+5},
+    {"widening",
+     {1e-6, 1.5e-3, 1.5, 2e3, 3e3},
+     {0x1.0ff7861d6cdcp-20, 0x1.111c86c66916ap-20, 0x1.2eeda67bbd38dp-20,
+      0x1.406f5d121926p+0, 0x1.a3b375086d721p+10, 0x1.26b863e8c8d7cp+11,
+      0x1.68810212d850ap+11, 0x1.74f7a3f13aeb8p+11, 0x1.74f7a3f13aeb8p+11},
+     {0x1p+0, 0x1.8b6be9f1d2506p-1, 0x1.8b6be9f1d2506p-2,
+      0x1.4160e2dafa7c7p-4, 0.0},
+     650, 0x1.349b1ae759247p+8, 0x1.0ff7861d6cdcp-20, 0x1.74f7a3f13aeb8p+11},
+    {"boundaries",
+     {0.0, 5e-8, 1.0, 1e5, 2e5},
+     {0.0, 0x1.ad7f29abcaf48p-24, 0x1.ad7f29abcaf48p-24, 0x1.406f5d121926p+0,
+      0x1.dcb1be1a44f03p+0, 0x1.f04b8a05b80bp+0, 0x1.00de33e7edff7p+1,
+      0x1.24f8p+18, 0x1.24f8p+18},
+     {0x1p+0, 0x1p+0, 0x1.5062efec366a6p-1, 0x1.3c995a47babe7p-7,
+      0x1.3c995a47babe7p-7},
+     207, 0x1.e365042f9799ap+10, 0.0, 0x1.24f8p+18},
+    {"reset",
+     {1.5e-3, 100.0, 250.0, 399.0, 500.0},
+     {0x1.924da215c1a8p+6, 0x1.924f2961fc155p+6, 0x1.9e0e8ed06f58fp+6,
+      0x1.f37e61ab9a2c8p+7, 0x1.738904c62c398p+8, 0x1.80977f0733282p+8,
+      0x1.8e1b6f87865d1p+8, 0x1.8f117d06a85bep+8, 0x1.8f117d06a85bep+8},
+     {0x1p+0, 0x1p+0, 0x1p-1, 0x1.b4e81b4e81b4fp-8, 0.0},
+     300, 0x1.f4781c733feb1p+7, 0x1.924da215c1a8p+6, 0x1.8f117d06a85bep+8},
+    {"into-empty",
+     {0.3, 0.5, 0.75, 0.89, 1.0},
+     {0x1.33a6833658726p-2, 0x1.353e38edd9a99p-2, 0x1.38d2ec8d3f8b6p-2,
+      0x1.3482b0a8294cfp-1, 0x1.aecb5810c240ap-1, 0x1.bdeef08dbc7acp-1,
+      0x1.caf470ddd40dbp-1, 0x1.cc6f829bbf418p-1, 0x1.cc6f829bbf418p-1},
+     {0x1p+0, 0x1.564efe898231cp-1, 0x1.fd130463796adp-3,
+      0x1.767dce434a9b1p-6, 0.0},
+     700, 0x1.330aa8853b784p-1, 0x1.33a6833658726p-2, 0x1.cc6f829bbf418p-1},
+    {"from-empty",
+     {0.3, 0.5, 0.75, 0.89, 1.0},
+     {0x1.33a6833658726p-2, 0x1.353e38edd9a99p-2, 0x1.38d2ec8d3f8b6p-2,
+      0x1.3482b0a8294cfp-1, 0x1.aecb5810c240ap-1, 0x1.bdeef08dbc7acp-1,
+      0x1.caf470ddd40dbp-1, 0x1.cc6f829bbf418p-1, 0x1.cc6f829bbf418p-1},
+     {0x1p+0, 0x1.564efe898231cp-1, 0x1.fd130463796adp-3,
+      0x1.767dce434a9b1p-6, 0.0},
+     700, 0x1.330aa8853b784p-1, 0x1.33a6833658726p-2, 0x1.cc6f829bbf418p-1},
+    {"empty-both",
+     {0.0, 1e-3, 1.0, 1e3, 1e6},
+     {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+     {0.0, 0.0, 0.0, 0.0, 0.0},
+     0, 0.0, inf, -inf},
+};
+
+TEST(QuantileHistogramPin, EveryQueryBitForBit)
+{
+    for (const HistogramPin &pin : histogramPins) {
+        SCOPED_TRACE(pin.name);
+        const QuantileHistogram hist = pinCase(pin.name);
+        // EXPECT_EQ on doubles on purpose: the contract is bit-for-bit
+        // equality, not closeness.
+        for (std::size_t i = 0; i < std::size(pinPercentiles); ++i)
+            EXPECT_EQ(hist.percentile(pinPercentiles[i]),
+                      pin.percentile[i])
+                << "p=" << pinPercentiles[i];
+        for (std::size_t i = 0; i < std::size(pin.exceedanceAt); ++i)
+            EXPECT_EQ(hist.exceedance(pin.exceedanceAt[i]),
+                      pin.exceedance[i])
+                << "x=" << pin.exceedanceAt[i];
+        EXPECT_EQ(hist.count(), pin.count);
+        EXPECT_EQ(hist.mean(), pin.mean);
+        EXPECT_EQ(hist.min(), pin.min);
+        EXPECT_EQ(hist.max(), pin.max);
+    }
 }
 
 // ------------------------------------------------------------------- CSV
