@@ -17,6 +17,7 @@
 #include "core/eval_engine.hh"
 #include "core/policy_manager.hh"
 #include "experiment/runner.hh"
+#include "farm/server_farm.hh"
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "workload/job_source.hh"
@@ -256,6 +257,49 @@ BM_OfflineOptSolve(benchmark::State &state)
                             static_cast<std::int64_t>(instance.jobs.size()));
 }
 BENCHMARK(BM_OfflineOptSolve)->Unit(benchmark::kMillisecond);
+
+/** Closing one per-server epoch of a 128-server farm: harvest every
+ * server's window (one 5-minute dns-like window at rho = 0.3 each)
+ * and merge them into the farm view, the window work FarmRuntime does
+ * at each per-server epoch boundary. Items are servers. */
+void
+BM_CloseFarmEpoch(benchmark::State &state)
+{
+    constexpr std::size_t servers = 128;
+    constexpr double window = 300.0;
+    const PlatformModel xeon = PlatformModel::xeon();
+    const WorkloadSpec dns = workloadByName("dns");
+    const Policy policy{0.7, SleepPlan::immediate(LowPowerState::C6S3)};
+    std::vector<ServerSim> fed;
+    fed.reserve(servers);
+    for (std::size_t i = 0; i < servers; ++i) {
+        StationarySource source(dns.makeInterArrival(0.3),
+                                dns.makeService(), 7000 + i);
+        fed.emplace_back(xeon, dns.scaling, policy);
+        Job job;
+        while (source.next(job) && job.arrival < window)
+            fed.back().offerJob(job);
+        fed.back().advanceTo(window);
+    }
+
+    std::vector<ServerSim> sims;
+    sims.reserve(servers);
+    std::vector<SimStats> windows(servers);
+    for (auto _ : state) {
+        // Restore the fed windows untimed; a harvest empties them.
+        state.PauseTiming();
+        sims.clear();
+        for (const ServerSim &sim : fed)
+            sims.push_back(sim);
+        state.ResumeTiming();
+        for (std::size_t i = 0; i < servers; ++i)
+            windows[i] = sims[i].harvestWindow();
+        benchmark::DoNotOptimize(ServerFarm::mergeWindows(windows));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(servers));
+}
+BENCHMARK(BM_CloseFarmEpoch);
 
 /** Sweep-grid expansion cost in the experiment layer (pure API
  * overhead: a 10 x 10 x 10 grid of specs, no simulation). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hh"
 
@@ -160,13 +161,15 @@ ServerSim::setPolicy(const Policy &policy, double t)
 SimStats
 ServerSim::harvestWindow()
 {
-    SimStats harvested = _window;
+    // Move the window out rather than copy it: its histogram run
+    // changes hands, and the fresh window allocates nothing until its
+    // first completion.
+    SimStats harvested = std::move(_window);
     harvested.windowEnd = _accountedUntil;
 
-    SimStats fresh;
-    fresh.windowStart = _accountedUntil;
-    fresh.windowEnd = _accountedUntil;
-    _window = fresh;
+    _window = SimStats{};
+    _window.windowStart = _accountedUntil;
+    _window.windowEnd = _accountedUntil;
     return harvested;
 }
 

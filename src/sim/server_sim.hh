@@ -183,8 +183,8 @@ class ServerSim
  */
 struct PolicyEvaluation
 {
-    Policy policy;
-    SimStats stats;
+    Policy policy;  ///< The candidate policy evaluated.
+    SimStats stats; ///< Its window over the whole job list.
 
     /** Mean response time, seconds. */
     double meanResponse() const { return stats.meanResponse(); }

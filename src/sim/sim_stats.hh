@@ -26,7 +26,7 @@ struct SimStats
 {
     /** Window covered: [start, end] in simulation time. */
     double windowStart = 0.0;
-    double windowEnd = 0.0;
+    double windowEnd = 0.0; ///< End of the window covered.
 
     /** Joules consumed inside the window. */
     double energy = 0.0;

@@ -25,6 +25,7 @@ namespace sleepscale {
 class ConfigError : public std::invalid_argument
 {
   public:
+    /** @param what_arg Message naming the offending input. */
     explicit ConfigError(const std::string &what_arg)
         : std::invalid_argument(what_arg)
     {}
@@ -34,6 +35,7 @@ class ConfigError : public std::invalid_argument
 class InternalError : public std::logic_error
 {
   public:
+    /** @param what_arg Message naming the broken invariant. */
     explicit InternalError(const std::string &what_arg)
         : std::logic_error(what_arg)
     {}

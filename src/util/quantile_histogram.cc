@@ -1,10 +1,20 @@
 #include "util/quantile_histogram.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hh"
 
 namespace sleepscale {
+
+namespace {
+
+/** Buckets a run reserves beyond what it must cover when it is first
+ * allocated or grows; growth also adds at least half the run, so a
+ * widening stream reallocates O(log(range)) times. */
+constexpr std::size_t runSlack = 32;
+
+} // namespace
 
 QuantileHistogram::QuantileHistogram(double floor, double ceiling,
                                      unsigned buckets_per_decade)
@@ -20,8 +30,6 @@ QuantileHistogram::QuantileHistogram(double floor, double ceiling,
     const auto grid =
         static_cast<std::size_t>(std::ceil(decades * _bucketsPerDecade));
     _gridBuckets = grid + 2; // + underflow and overflow
-    // _buckets stays empty until the first add(): a histogram that
-    // never sees a sample costs O(1) memory.
 }
 
 std::size_t
@@ -49,6 +57,35 @@ QuantileHistogram::upperEdge(std::size_t index) const
 }
 
 void
+QuantileHistogram::cover(std::size_t lo, std::size_t hi)
+{
+    const std::size_t end = _first + _buckets.size();
+    if (!_buckets.empty() && lo >= _first && hi <= end)
+        return;
+    std::size_t new_lo = lo;
+    std::size_t new_hi = hi;
+    if (_buckets.empty()) {
+        new_lo = lo > runSlack ? lo - runSlack : 0;
+        new_hi = std::min(hi + runSlack, _gridBuckets);
+    } else {
+        const std::size_t grow = std::max(runSlack, _buckets.size() / 2);
+        new_lo = lo < _first
+                     ? std::min(lo, _first > grow ? _first - grow : 0)
+                     : _first;
+        new_hi = hi > end ? std::max(hi, std::min(end + grow, _gridBuckets))
+                          : end;
+    }
+    std::vector<std::uint64_t> grown(new_hi - new_lo, 0);
+    if (!_buckets.empty()) {
+        std::copy(_buckets.begin(), _buckets.end(),
+                  grown.begin() +
+                      static_cast<std::ptrdiff_t>(_first - new_lo));
+    }
+    _buckets = std::move(grown);
+    _first = new_lo;
+}
+
+void
 QuantileHistogram::add(double x)
 {
     // NaN would reach an undefined float-to-index cast in indexOf and
@@ -56,9 +93,12 @@ QuantileHistogram::add(double x)
     // than silently landing in a boundary bucket.
     fatalIf(!std::isfinite(x) || x < 0.0,
             "QuantileHistogram::add: samples must be finite and >= 0");
-    if (_buckets.empty())
-        _buckets.assign(_gridBuckets, 0);
-    ++_buckets[indexOf(x)];
+    const std::size_t index = indexOf(x);
+    // One unsigned compare catches an index on either side of the run
+    // (and an empty run).
+    if (index - _first >= _buckets.size())
+        cover(index, index + 1);
+    ++_buckets[index - _first];
     _moments.add(x);
 }
 
@@ -76,13 +116,18 @@ QuantileHistogram::percentile(double p) const
     if (p == 0.0)
         return _moments.min();
     const double target = p / 100.0 * static_cast<double>(n);
+    // Every bucket below the run is empty, so the walk over the whole
+    // grid stops there only at grid index 0, for a target of 0 (a p
+    // so small that p / 100 underflows).
+    if (target <= 0.0)
+        return std::min(upperEdge(0), _moments.max());
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         seen += _buckets[i];
         if (static_cast<double>(seen) >= target) {
             // A bucket's upper edge can exceed the largest sample seen
             // (the max lands mid-bucket); never report past the max.
-            return std::min(upperEdge(i), _moments.max());
+            return std::min(upperEdge(_first + i), _moments.max());
         }
     }
     return _moments.max();
@@ -103,9 +148,9 @@ QuantileHistogram::exceedance(double x) const
         return 0.0;
     if (x <= _moments.min())
         return 1.0;
-    const std::size_t cut = indexOf(x);
+    const std::size_t cut = std::max(indexOf(x), _first);
     std::uint64_t at_least = 0;
-    for (std::size_t i = cut; i < _buckets.size(); ++i)
+    for (std::size_t i = cut - _first; i < _buckets.size(); ++i)
         at_least += _buckets[i];
     return static_cast<double>(at_least) / static_cast<double>(n);
 }
@@ -116,23 +161,30 @@ QuantileHistogram::merge(const QuantileHistogram &other)
     fatalIf(other._gridBuckets != _gridBuckets ||
                 other._floor != _floor || other._ceiling != _ceiling,
             "QuantileHistogram::merge: incompatible configurations");
-    // An unallocated (never-sampled) source contributes nothing; the
-    // early-out is what makes merging a mostly-idle farm's windows
-    // O(active servers) rather than O(farm x buckets).
-    if (other._buckets.empty())
+    // Only the source's nonzero buckets need a home here: a
+    // never-sampled (or reset) source contributes nothing and costs
+    // nothing, and a source whose counts sit inside this run merges
+    // without reallocating.
+    std::size_t lo = 0;
+    std::size_t hi = other._buckets.size();
+    while (lo < hi && other._buckets[lo] == 0)
+        ++lo;
+    while (hi > lo && other._buckets[hi - 1] == 0)
+        --hi;
+    if (lo == hi)
         return;
-    if (_buckets.empty())
-        _buckets.assign(_gridBuckets, 0);
-    for (std::size_t i = 0; i < _buckets.size(); ++i)
-        _buckets[i] += other._buckets[i];
+    cover(other._first + lo, other._first + hi);
+    std::uint64_t *into = _buckets.data() + (other._first + lo - _first);
+    const std::uint64_t *from = other._buckets.data() + lo;
+    for (std::size_t i = 0; i < hi - lo; ++i)
+        into[i] += from[i];
     _moments.merge(other._moments);
 }
 
 void
 QuantileHistogram::reset()
 {
-    for (auto &bucket : _buckets)
-        bucket = 0;
+    std::fill(_buckets.begin(), _buckets.end(), 0);
     _moments.reset();
 }
 

@@ -21,6 +21,13 @@ namespace sleepscale {
  * configurable floor and ceiling so the relative quantile error is bounded
  * by the per-decade resolution (default 400 buckets/decade ≈ 0.6% relative
  * error), which is far below the Monte-Carlo noise of the experiments.
+ *
+ * Only the contiguous run of buckets that samples and merges have
+ * touched is stored, so memory and the cost of every operation (add,
+ * merge, the queries, reset, copies) follow the touched range, not the
+ * grid: a window whose responses span one decade holds a few hundred
+ * counts instead of the whole grid, and a never-sampled histogram
+ * holds none.
  */
 class QuantileHistogram
 {
@@ -80,20 +87,27 @@ class QuantileHistogram
     double _bucketsPerDecade;
 
     /** Bucket count of the configured grid, including the underflow
-     * and overflow buckets. Fixed at construction; _buckets grows to
-     * this size on the first add(). */
+     * and overflow buckets. Fixed at construction. */
     std::size_t _gridBuckets;
 
-    /** Bucket array: empty until the first sample, then
-     * [under, grid..., over]. Lazy allocation keeps a never-sampled
-     * histogram — e.g. the response tail of an idle farm server — at
-     * O(1) memory instead of ~38 KB each. */
+    /** Grid index of _buckets[0]. */
+    std::size_t _first = 0;
+
+    /** Counts of grid buckets [_first, _first + _buckets.size()):
+     * empty until the first sample or merge, then a run covering every
+     * touched bucket (grid index 0 is underflow, _gridBuckets - 1
+     * overflow). Every bucket outside the run is zero. The run grows
+     * geometrically at either end, clamped to the grid, and reset()
+     * keeps it. */
     std::vector<std::uint64_t> _buckets;
 
     OnlineStats _moments;
 
     std::size_t indexOf(double x) const;
     double upperEdge(std::size_t index) const;
+
+    /** Grow the stored run to cover grid indices [lo, hi). */
+    void cover(std::size_t lo, std::size_t hi);
 };
 
 } // namespace sleepscale

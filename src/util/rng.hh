@@ -27,6 +27,7 @@ namespace sleepscale {
 class Rng
 {
   public:
+    /** Type of the raw 64-bit draws (UniformRandomBitGenerator). */
     using result_type = std::uint64_t;
 
     /** Construct from a seed; equal seeds yield identical streams. */

@@ -8,12 +8,44 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "power/platform_model.hh"
 #include "sim/server_sim.hh"
 #include "util/error.hh"
 #include "workload/job_source.hh"
+
+// Counts the bytes of every global allocation, so a test can bound
+// what copying, harvesting or merging a window allocates. Kept out of
+// line so the compiler never pairs an inlined free() with the
+// allocating call.
+namespace {
+std::atomic<std::size_t> allocatedBytes{0};
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    allocatedBytes.fetch_add(bytes, std::memory_order_relaxed);
+    if (void *block = std::malloc(bytes == 0 ? 1 : bytes))
+        return block;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *block) noexcept
+{
+    std::free(block);
+}
+
+[[gnu::noinline]] void
+operator delete(void *block, std::size_t) noexcept
+{
+    std::free(block);
+}
 
 namespace sleepscale {
 namespace {
@@ -283,6 +315,108 @@ TEST_F(XeonSim, AveragePowerBoundedByModelExtremes)
         EXPECT_GT(eval.avgPower(), xeon.lowPower(LowPowerState::C6S3, 1.0));
         EXPECT_LT(eval.avgPower(), xeon.activePower(1.0));
     }
+}
+
+// ------------------------------------------------- window allocations
+
+/** Bytes allocated while `work` runs. */
+template <typename Work>
+std::size_t
+bytesAllocatedBy(Work &&work)
+{
+    const std::size_t before = allocatedBytes.load();
+    work();
+    return allocatedBytes.load() - before;
+}
+
+/** Record `n` responses spread over [lo, hi) into `stats`. */
+void
+addResponses(SimStats &stats, double lo, double hi, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        const double frac = (i + 0.5) / n;
+        stats.response.add(lo + (hi - lo) * frac);
+        stats.responseHistogram.add(lo + (hi - lo) * frac);
+    }
+    stats.completions += static_cast<std::uint64_t>(n);
+}
+
+TEST(SimStatsAllocations, CopyFollowsTheTouchedResponseRange)
+{
+    // Responses over one decade touch ~400 of the histogram's 4,802
+    // buckets; a copy pays for those, not for the whole grid.
+    SimStats stats;
+    stats.windowEnd = 300.0;
+    addResponses(stats, 0.02, 0.2, 5000);
+    std::size_t copies = 0;
+    const std::size_t bytes = bytesAllocatedBy([&] {
+        const SimStats copy = stats;
+        copies += copy.completions;
+    });
+    EXPECT_EQ(copies, 5000u);
+    EXPECT_GT(bytes, 0u);
+    EXPECT_LT(bytes, 8u * 1024u);
+}
+
+TEST_F(XeonSim, HarvestedWindowIsMovedNotCopied)
+{
+    ServerSim sim(xeon, ServiceScaling::cpuBound(),
+                  immediatePolicy(LowPowerState::C6S3, 0.7));
+    ExponentialDist gaps(1.0), sizes(0.194);
+    StationarySource source(gaps.clone(), sizes.clone(), 7);
+    for (const Job &job : materialize(source, 2000))
+        sim.offerJob(job);
+    sim.advanceTo(sim.nextFreeTime());
+
+    SimStats window;
+    const std::size_t bytes =
+        bytesAllocatedBy([&] { window = sim.harvestWindow(); });
+    EXPECT_EQ(bytes, 0u);
+    EXPECT_EQ(window.completions, 2000u);
+    EXPECT_GT(window.responsePercentile(95.0), 0.0);
+    // The fresh window starts where the harvested one ended.
+    EXPECT_EQ(sim.currentWindow().completions, 0u);
+    EXPECT_EQ(sim.currentWindow().windowStart, window.windowEnd);
+}
+
+TEST(SimStatsAllocations, MergeInsideTheCoveredRangeAllocatesNothing)
+{
+    SimStats total;
+    total.windowEnd = 300.0;
+    addResponses(total, 0.01, 1.0, 4000);
+    SimStats later;
+    later.windowStart = 300.0;
+    later.windowEnd = 600.0;
+    addResponses(later, 0.05, 0.5, 1000);
+
+    const std::size_t bytes =
+        bytesAllocatedBy([&] { total.merge(later); });
+    EXPECT_EQ(bytes, 0u);
+    EXPECT_EQ(total.completions, 5000u);
+    EXPECT_EQ(total.responseHistogram.count(), 5000u);
+}
+
+TEST(SimStatsAllocations, NeverSampledHistogramAllocatesNothing)
+{
+    double percentile = -1.0;
+    double exceedance = -1.0;
+    double window_p95 = -1.0;
+    const std::size_t bytes = bytesAllocatedBy([&] {
+        SimStats idle;
+        idle.windowEnd = 300.0;
+        SimStats copy = idle;
+        copy.merge(idle);
+        QuantileHistogram hist(1e-7, 1e5, 400);
+        hist.merge(idle.responseHistogram);
+        hist.reset();
+        percentile = hist.percentile(99.0);
+        exceedance = hist.exceedance(1.0);
+        window_p95 = copy.responsePercentile(95.0);
+    });
+    EXPECT_EQ(bytes, 0u);
+    EXPECT_EQ(percentile, 0.0);
+    EXPECT_EQ(exceedance, 0.0);
+    EXPECT_EQ(window_p95, 0.0);
 }
 
 } // namespace

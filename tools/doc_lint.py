@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint for the audited public headers (src/analytic,
-src/control, src/farm, src/fault, src/experiment, src/workload).
+src/control, src/farm, src/fault, src/experiment, src/sim, src/util,
+src/workload).
 
 Fails (exit 1) with a file:line warning for every public declaration that
 carries no documentation comment. The rules mirror what Doxygen's
@@ -26,7 +27,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_GLOBS = ("src/analytic/*.hh", "src/control/*.hh",
                  "src/farm/*.hh", "src/experiment/*.hh",
-                 "src/fault/*.hh", "src/workload/*.hh")
+                 "src/fault/*.hh", "src/sim/*.hh", "src/util/*.hh",
+                 "src/workload/*.hh")
 
 ACCESS_RE = re.compile(r"^\s*(public|protected|private)\s*:")
 TYPE_OPEN_RE = re.compile(
