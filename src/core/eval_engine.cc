@@ -261,8 +261,13 @@ PolicyEvalEngine::replay(const PreparedLog &log,
         return;
     }
 
-    // Lane-exclusive contiguous chunks. The captures fit
-    // std::function's small buffer, so the fan-out allocates nothing.
+    // Contiguous chunks, at most one per lane. Each chunk replays on
+    // the scratch of its own index, not of the lane that runs it: the
+    // pool hands items to lanes in any order, and a fixed chunk ->
+    // scratch map keeps every scratch's response-histogram run the same
+    // from one call to the next, so a repeated search reallocates
+    // nothing. The captures fit std::function's small buffer, so the
+    // fan-out allocates nothing.
     struct Fanout
     {
         const PreparedLog *log;
@@ -273,9 +278,9 @@ PolicyEvalEngine::replay(const PreparedLog &log,
     const Fanout fanout{&log, candidates, chunk};
     _pool->parallelFor(
         (candidates.size() + chunk - 1) / chunk,
-        [this, &fanout](std::size_t item, std::size_t lane) {
+        [this, &fanout](std::size_t item, std::size_t) {
             const std::size_t first = item * fanout.chunk;
-            replayChunk(_scratch[lane], *fanout.log,
+            replayChunk(_scratch[item], *fanout.log,
                         fanout.candidates.subspan(
                             first, std::min(fanout.chunk,
                                             fanout.candidates.size() -

@@ -237,10 +237,11 @@ class PolicyEvalEngine
     std::vector<double> _factor;
     std::vector<double> _activePower;
 
-    /** One kernel scratch per pool lane. During a fan-out, scratch `i`
-     * is touched exclusively by lane `i` (ThreadPool's lane index is
-     * stable for the whole parallelFor), so it needs no lock — the
-     * machine-checked analogue is the pool's own GUARDED_BY
+    /** One kernel scratch per pool lane. A fan-out splits the
+     * candidates into at most one chunk per lane and chunk `i` replays
+     * on scratch `i`; parallelFor runs each item exactly once, so a
+     * scratch is touched by one thread at a time and needs no lock —
+     * the machine-checked analogue is the pool's own GUARDED_BY
      * discipline; the scratch discipline is covered by the TSan CI
      * job. */
     std::vector<KernelScratch> _scratch;
