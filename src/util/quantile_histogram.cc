@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hh"
 
@@ -27,9 +28,11 @@ QuantileHistogram::QuantileHistogram(double floor, double ceiling,
     fatalIf(buckets_per_decade == 0,
             "QuantileHistogram: need at least one bucket per decade");
     const double decades = std::log10(ceiling) - _logFloor;
-    const auto grid =
-        static_cast<std::size_t>(std::ceil(decades * _bucketsPerDecade));
-    _gridBuckets = grid + 2; // + underflow and overflow
+    const double grid = std::ceil(decades * _bucketsPerDecade);
+    // Grid indices, underflow and overflow included, are 32-bit.
+    fatalIf(!(grid <= std::numeric_limits<std::uint32_t>::max() - 2.0),
+            "QuantileHistogram: the grid needs too many buckets");
+    _gridBuckets = static_cast<std::uint32_t>(grid) + 2;
 }
 
 std::size_t
@@ -41,7 +44,7 @@ QuantileHistogram::indexOf(double x) const
         return _gridBuckets - 1;
     const double pos = (std::log10(x) - _logFloor) * _bucketsPerDecade;
     const auto raw = static_cast<std::size_t>(pos);
-    return std::min(raw + 1, _gridBuckets - 2);
+    return std::min<std::size_t>(raw + 1, _gridBuckets - 2);
 }
 
 double
@@ -59,30 +62,29 @@ QuantileHistogram::upperEdge(std::size_t index) const
 void
 QuantileHistogram::cover(std::size_t lo, std::size_t hi)
 {
-    const std::size_t end = _first + _buckets.size();
-    if (!_buckets.empty() && lo >= _first && hi <= end)
+    const std::size_t first = _first;
+    const std::size_t end = first + _buckets.size();
+    if (!_buckets.empty() && lo >= first && hi <= end)
         return;
+    const std::size_t grid = _gridBuckets;
     std::size_t new_lo = lo;
     std::size_t new_hi = hi;
     if (_buckets.empty()) {
         new_lo = lo > runSlack ? lo - runSlack : 0;
-        new_hi = std::min(hi + runSlack, _gridBuckets);
+        new_hi = std::min(hi + runSlack, grid);
     } else {
         const std::size_t grow = std::max(runSlack, _buckets.size() / 2);
-        new_lo = lo < _first
-                     ? std::min(lo, _first > grow ? _first - grow : 0)
-                     : _first;
-        new_hi = hi > end ? std::max(hi, std::min(end + grow, _gridBuckets))
-                          : end;
+        new_lo = lo < first ? std::min(lo, first > grow ? first - grow : 0)
+                            : first;
+        new_hi = hi > end ? std::max(hi, std::min(end + grow, grid)) : end;
     }
     std::vector<std::uint64_t> grown(new_hi - new_lo, 0);
     if (!_buckets.empty()) {
         std::copy(_buckets.begin(), _buckets.end(),
-                  grown.begin() +
-                      static_cast<std::ptrdiff_t>(_first - new_lo));
+                  grown.begin() + static_cast<std::ptrdiff_t>(first - new_lo));
     }
     _buckets = std::move(grown);
-    _first = new_lo;
+    _first = static_cast<std::uint32_t>(new_lo);
 }
 
 void
@@ -116,9 +118,9 @@ QuantileHistogram::percentile(double p) const
     if (p == 0.0)
         return _moments.min();
     const double target = p / 100.0 * static_cast<double>(n);
-    // Every bucket below the run is empty, so the walk over the whole
-    // grid stops there only at grid index 0, for a target of 0 (a p
-    // so small that p / 100 underflows).
+    // Every bucket below the run is empty, so a walk from grid index
+    // 0 could stop below the run only at index 0, and only for a
+    // target of 0 (a p so small that p / 100 underflows).
     if (target <= 0.0)
         return std::min(upperEdge(0), _moments.max());
     std::uint64_t seen = 0;
@@ -148,7 +150,7 @@ QuantileHistogram::exceedance(double x) const
         return 0.0;
     if (x <= _moments.min())
         return 1.0;
-    const std::size_t cut = std::max(indexOf(x), _first);
+    const std::size_t cut = std::max<std::size_t>(indexOf(x), _first);
     std::uint64_t at_least = 0;
     for (std::size_t i = cut - _first; i < _buckets.size(); ++i)
         at_least += _buckets[i];

@@ -88,10 +88,11 @@ class QuantileHistogram
 
     /** Bucket count of the configured grid, including the underflow
      * and overflow buckets. Fixed at construction. */
-    std::size_t _gridBuckets;
+    std::uint32_t _gridBuckets;
 
-    /** Grid index of _buckets[0]. */
-    std::size_t _first = 0;
+    /** Grid index of _buckets[0]. Packed beside _gridBuckets, which
+     * bounds it, so the run costs the object no size. */
+    std::uint32_t _first = 0;
 
     /** Counts of grid buckets [_first, _first + _buckets.size()):
      * empty until the first sample or merge, then a run covering every

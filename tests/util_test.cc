@@ -336,6 +336,20 @@ TEST(QuantileHistogram, ResetForgets)
     EXPECT_DOUBLE_EQ(hist.percentile(50.0), 0.0);
 }
 
+TEST(QuantileHistogram, RejectsGridsBeyond32BitIndices)
+{
+    // 600 decades at 1e8 buckets each: 6e10 buckets, past 32-bit
+    // grid indices.
+    EXPECT_THROW(QuantileHistogram(1e-300, 1e300, 100000000),
+                 ConfigError);
+    // A sparse run makes a fine grid cheap: 600 decades at 1e6
+    // buckets each fit, and one sample stores a few dozen counts.
+    QuantileHistogram fine(1e-300, 1e300, 1000000);
+    fine.add(1.0);
+    EXPECT_EQ(fine.count(), 1u);
+    EXPECT_EQ(fine.percentile(100.0), 1.0);
+}
+
 // Boundary audit (SimStats uses floor 1e-7 / ceiling 1e5): samples
 // beyond the grid, empty queries, and non-finite inputs must never
 // silently misreport.
