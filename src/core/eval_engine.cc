@@ -11,14 +11,12 @@ namespace sleepscale {
 namespace {
 
 /** Batch slots of one kernel pass under a tail constraint. Each slot
- * carries its own response histogram, and the histogram update (a
- * log10 and a bucket increment) dominates a tail step. One slot keeps
- * the tail scratch at one histogram per lane. Re-measured on a
- * 4000-job log (4-vCPU Xeon at 2.1 GHz, best of 7 x 20 decisions),
- * 1, 4 and 16 slots took 6.7, 5.7 and 5.8 ms per decision with
- * range-sized histograms, and 7.2, 5.7 and 5.6 ms with the former
- * dense 38 KB ones, so a wider pass is an open option (ROADMAP), not
- * a consequence of the histogram size. The mean metric needs no
+ * carries its own response histogram, whose update (a log10 and a
+ * bucket increment) dominates a tail step. One slot keeps the tail
+ * scratch at one histogram per lane, but it is not the fastest width:
+ * on a 4000-job log (4-vCPU Xeon at 2.1 GHz, best of 7 x 20
+ * decisions) 1, 4 and 16 slots took 6.7, 5.7 and 5.8 ms per decision;
+ * widening it is an open item (ROADMAP). The mean metric needs no
  * histogram and replays a whole chunk in one pass. */
 constexpr std::size_t tailPass = 1;
 
